@@ -6,6 +6,7 @@
 
 #include "codec/codec.hpp"
 #include "common/hash.hpp"
+#include "ndarray/kernels.hpp"
 
 namespace drai::container {
 
@@ -28,8 +29,9 @@ Result<Bytes> EncodeGribMessage(GribMessage& msg) {
 
   // Pack to integers.
   const size_t n = msg.field.numel();
-  std::vector<double> values(n);
-  for (size_t i = 0; i < n; ++i) values[i] = msg.field.GetAsDouble(i);
+  std::vector<double> values;
+  values.reserve(n);
+  ForEachAsDouble(msg.field, [&values](double x) { values.push_back(x); });
   DRAI_ASSIGN_OR_RETURN(codec::LinearPack pack,
                         codec::LinearQuantize(values, msg.bits));
   msg.pack_error = codec::MeasureLinearError(values, pack);
@@ -113,25 +115,28 @@ Result<std::vector<GribMessage>> DecodeGribFile(
       return (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
     };
 
+    // Check the payload holds every quantum before allocating the field:
+    // the dims cap alone still admits a 32 GiB grid.
+    const size_t quantum_bytes = msg.bits / 8;
+    if (r.remaining() < n * quantum_bytes) {
+      return DataLoss("grib: payload shorter than " + std::to_string(n) +
+                      " quanta");
+    }
+    std::span<const std::byte> quanta;
+    DRAI_RETURN_IF_ERROR(r.GetSpan(n * quantum_bytes, quanta));
     msg.field = NDArray::Zeros({msg.n_lat, msg.n_lon}, DType::kF64);
+    const std::span<double> cells = msg.field.span<double>();
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    if (msg.bits == 8) {
-      std::span<const std::byte> quanta;
-      DRAI_RETURN_IF_ERROR(r.GetSpan(n, quanta));
-      for (size_t i = 0; i < n; ++i) {
-        msg.field.SetFromDouble(
-            i, is_missing(i)
-                   ? nan
-                   : offset + scale * static_cast<double>(
-                                  static_cast<uint8_t>(quanta[i])));
+    for (size_t i = 0; i < n; ++i) {
+      // Little-endian quanta, as EncodeGribMessage writes them.
+      const size_t at = i * quantum_bytes;
+      unsigned quantum = std::to_integer<unsigned>(quanta[at]);
+      if (quantum_bytes == 2) {
+        quantum |= std::to_integer<unsigned>(quanta[at + 1]) << 8;
       }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        uint16_t q = 0;
-        DRAI_RETURN_IF_ERROR(r.GetU16(q));
-        msg.field.SetFromDouble(
-            i, is_missing(i) ? nan : offset + scale * static_cast<double>(q));
-      }
+      cells[i] = is_missing(i)
+                     ? nan
+                     : offset + scale * static_cast<double>(quantum);
     }
     // Validate CRC (covers body between magic and crc).
     const size_t body_end = r.position();

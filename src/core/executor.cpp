@@ -269,8 +269,6 @@ PartResult UnpackResult(ByteReader& rd) {
   return r;
 }
 
-bool IsParallel(ExecutionHint hint) { return hint != ExecutionHint::kSerial; }
-
 /// Watchdog poll interval: fine enough that the smallest armed limit fires
 /// within ~10% of its value, without spinning for generous limits.
 double WatchdogPollMs(double min_limit_ms) {

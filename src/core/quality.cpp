@@ -5,6 +5,7 @@
 
 #include "common/hash.hpp"
 #include "common/strings.hpp"
+#include "ndarray/kernels.hpp"
 
 namespace drai::core {
 
@@ -82,15 +83,11 @@ QualityReport AssessQuality(std::span<const shard::Example> examples) {
     for (const auto& [name, tensor] : ex.features) {
       if (name == "label") continue;
       FeatureQuality& fq = report.features[name];
-      const size_t n = tensor.numel();
-      fq.total_elements += n;
-      for (size_t i = 0; i < n; ++i) {
-        const double v = tensor.GetAsDouble(i);
-        if (std::isnan(v)) {
-          ++fq.nan_elements;
-        }
+      fq.total_elements += tensor.numel();
+      ForEachAsDouble(tensor, [&fq](double v) {
+        if (std::isnan(v)) ++fq.nan_elements;
         fq.stats.Add(v);
-      }
+      });
     }
     const auto label = ex.Label();
     if (label.ok()) {

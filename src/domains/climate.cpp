@@ -169,9 +169,9 @@ Result<ArchetypeResult> RunClimateArchetype(
           DRAI_ASSIGN_OR_RETURN(
               NDArray regridded,
               grid::Regrid(field, src_grid, dst_grid, config.regrid));
-          for (size_t i = 0; i < regridded.numel(); ++i) {
-            local.Observe(vit->second, regridded.GetAsDouble(i));
-          }
+          ForEachAsDouble(regridded, [&local, v = vit->second](double x) {
+            local.Observe(v, x);
+          });
           // "raw@t00003/t2m" -> "grid@t00003/t2m"
           regridded_out.emplace_back("grid@" + key.substr(4),
                                      std::move(regridded));
@@ -229,11 +229,10 @@ Result<ArchetypeResult> RunClimateArchetype(
           const size_t v = vit->second;
           NDArray field = tensor;
           const double mean = normalizer->Center(v);
-          for (size_t i = 0; i < field.numel(); ++i) {
-            double x = field.GetAsDouble(i);
-            if (std::isnan(x)) x = mean;  // mean-fill missing cells
-            field.SetFromDouble(i, normalizer->Apply(v, x));
-          }
+          TransformInPlace(field, [&normalizer, v, mean](double x) {
+            // Mean-fill missing cells, then z-score.
+            return normalizer->Apply(v, std::isnan(x) ? mean : x);
+          });
           renamed.emplace_back("norm@" + key.substr(5), std::move(field));
           consumed.push_back(key);
         }

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numbers>
+#include <type_traits>
+
+#include "ndarray/kernels.hpp"
 
 namespace drai::grid {
 
@@ -133,22 +137,17 @@ double LonOverlap(double a0, double a1, double b0, double b1) {
   return total;
 }
 
-}  // namespace
-
-Result<NDArray> Regrid(const NDArray& field, const LatLonGrid& src,
-                       const LatLonGrid& dst, RegridMethod method) {
-  if (field.rank() != 2 || field.shape()[0] != src.n_lat() ||
-      field.shape()[1] != src.n_lon()) {
-    return InvalidArgument("Regrid: field shape does not match source grid");
-  }
-  if (!IsFloating(field.dtype())) {
-    return InvalidArgument("Regrid: floating dtypes only");
-  }
-  NDArray out = NDArray::Zeros({dst.n_lat(), dst.n_lon()}, field.dtype());
+// One regrid loop per floating storage type T: the source is read through
+// ToDouble, all arithmetic is in double, and the result is stored through
+// FromDouble<T>, the conversions of GetAsDouble / SetFromDouble.
+template <typename T>
+void RegridTyped(std::span<const T> in, const LatLonGrid& src,
+                 const LatLonGrid& dst, RegridMethod method,
+                 std::span<T> out) {
   const size_t sn_lon = src.n_lon();
-
+  const size_t dn_lon = dst.n_lon();
   auto src_at = [&](size_t i, size_t j) {
-    return field.GetAsDouble(i * sn_lon + j);
+    return ToDouble(in[i * sn_lon + j]);
   };
 
   switch (method) {
@@ -156,39 +155,54 @@ Result<NDArray> Regrid(const NDArray& field, const LatLonGrid& src,
       const double dlon_src = 360.0 / static_cast<double>(sn_lon);
       for (size_t i = 0; i < dst.n_lat(); ++i) {
         const size_t si = NearestLat(src, dst.lat(i));
-        for (size_t j = 0; j < dst.n_lon(); ++j) {
+        for (size_t j = 0; j < dn_lon; ++j) {
           const double lon = dst.lon(j);
           size_t sj = static_cast<size_t>(std::lround(lon / dlon_src)) % sn_lon;
-          out.SetFromDouble(i * dst.n_lon() + j, src_at(si, sj));
+          out[i * dn_lon + j] = FromDouble<T>(src_at(si, sj));
         }
       }
       break;
     }
     case RegridMethod::kBilinear: {
+      // Longitude brackets depend on the column only.
+      std::vector<size_t> j0(dn_lon), j1(dn_lon);
+      std::vector<double> wlon(dn_lon);
+      for (size_t j = 0; j < dn_lon; ++j) {
+        LonBracket(src, dst.lon(j), j0[j], j1[j], wlon[j]);
+      }
       for (size_t i = 0; i < dst.n_lat(); ++i) {
         size_t i0, i1;
         double wlat;
         LatBracket(src, dst.lat(i), i0, i1, wlat);
-        for (size_t j = 0; j < dst.n_lon(); ++j) {
-          size_t j0, j1;
-          double wlon;
-          // Source centers are at (j + 0.5)*dlon? No: lon(j) = j*dlon
-          LonBracket(src, dst.lon(j), j0, j1, wlon);
-          const double v00 = src_at(i0, j0);
-          const double v01 = src_at(i0, j1);
-          const double v10 = src_at(i1, j0);
-          const double v11 = src_at(i1, j1);
-          const double v = (1 - wlat) * ((1 - wlon) * v00 + wlon * v01) +
-                           wlat * ((1 - wlon) * v10 + wlon * v11);
-          out.SetFromDouble(i * dst.n_lon() + j, v);
+        for (size_t j = 0; j < dn_lon; ++j) {
+          const double v00 = src_at(i0, j0[j]);
+          const double v01 = src_at(i0, j1[j]);
+          const double v10 = src_at(i1, j0[j]);
+          const double v11 = src_at(i1, j1[j]);
+          const double w = wlon[j];
+          const double v = (1 - wlat) * ((1 - w) * v00 + w * v01) +
+                           wlat * ((1 - w) * v10 + w * v11);
+          out[i * dn_lon + j] = FromDouble<T>(v);
         }
       }
       break;
     }
     case RegridMethod::kConservative: {
-      // Precompute lon edges for both grids.
       const double sdlon = 360.0 / static_cast<double>(sn_lon);
-      const double ddlon = 360.0 / static_cast<double>(dst.n_lon());
+      const double ddlon = 360.0 / static_cast<double>(dn_lon);
+      // Longitude overlaps depend on (destination column, source column)
+      // only. Kept in ascending source column: that is the summation order.
+      std::vector<std::vector<std::pair<size_t, double>>> lon_overlaps(dn_lon);
+      for (size_t j = 0; j < dn_lon; ++j) {
+        const double dl0 = dst.lon(j) - 0.5 * ddlon;
+        const double dl1 = dst.lon(j) + 0.5 * ddlon;
+        for (size_t sj = 0; sj < sn_lon; ++sj) {
+          const double sl0 = src.lon(sj) - 0.5 * sdlon;
+          const double sl1 = src.lon(sj) + 0.5 * sdlon;
+          const double wlon = LonOverlap(sl0, sl1, dl0, dl1);
+          if (wlon > 0) lon_overlaps[j].emplace_back(sj, wlon);
+        }
+      }
       // For each destination cell, accumulate area-weighted source values
       // over overlapping bands.
       for (size_t i = 0; i < dst.n_lat(); ++i) {
@@ -202,16 +216,10 @@ Result<NDArray> Regrid(const NDArray& field, const LatLonGrid& src,
           const double ov = Overlap1D(ssin0, ssin1, dsin0, dsin1);
           if (ov > 0) lat_overlaps.emplace_back(si, ov);
         }
-        for (size_t j = 0; j < dst.n_lon(); ++j) {
-          const double dl0 = dst.lon(j) - 0.5 * ddlon;
-          const double dl1 = dst.lon(j) + 0.5 * ddlon;
+        for (size_t j = 0; j < dn_lon; ++j) {
           double num = 0, den = 0;
           for (const auto& [si, wlat] : lat_overlaps) {
-            for (size_t sj = 0; sj < sn_lon; ++sj) {
-              const double sl0 = src.lon(sj) - 0.5 * sdlon;
-              const double sl1 = src.lon(sj) + 0.5 * sdlon;
-              const double wlon = LonOverlap(sl0, sl1, dl0, dl1);
-              if (wlon <= 0) continue;
+            for (const auto& [sj, wlon] : lon_overlaps[j]) {
               const double v = src_at(si, sj);
               if (std::isnan(v)) continue;  // missing source cell
               const double w = wlat * wlon;
@@ -219,14 +227,34 @@ Result<NDArray> Regrid(const NDArray& field, const LatLonGrid& src,
               den += w;
             }
           }
-          out.SetFromDouble(i * dst.n_lon() + j,
-                            den > 0 ? num / den
-                                    : std::numeric_limits<double>::quiet_NaN());
+          out[i * dn_lon + j] = FromDouble<T>(
+              den > 0 ? num / den : std::numeric_limits<double>::quiet_NaN());
         }
       }
       break;
     }
   }
+}
+
+}  // namespace
+
+Result<NDArray> Regrid(const NDArray& field, const LatLonGrid& src,
+                       const LatLonGrid& dst, RegridMethod method) {
+  if (field.rank() != 2 || field.shape()[0] != src.n_lat() ||
+      field.shape()[1] != src.n_lon()) {
+    return InvalidArgument("Regrid: field shape does not match source grid");
+  }
+  if (!IsFloating(field.dtype())) {
+    return InvalidArgument("Regrid: floating dtypes only");
+  }
+  const NDArray in = field.IsContiguous() ? field : field.AsContiguous();
+  NDArray out = NDArray::Zeros({dst.n_lat(), dst.n_lon()}, field.dtype());
+  VisitDType(field.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    if constexpr (std::is_floating_point_v<T> || std::is_same_v<T, Half>) {
+      RegridTyped<T>(in.span<T>(), src, dst, method, out.span<T>());
+    }
+  });
   return out;
 }
 
@@ -235,16 +263,16 @@ Result<double> AreaWeightedMean(const NDArray& field, const LatLonGrid& g) {
       field.shape()[1] != g.n_lon()) {
     return InvalidArgument("AreaWeightedMean: shape mismatch");
   }
+  std::vector<double> area(g.n_lat());
+  for (size_t i = 0; i < g.n_lat(); ++i) area[i] = g.CellArea(i);
   double num = 0, den = 0;
-  for (size_t i = 0; i < g.n_lat(); ++i) {
-    const double w = g.CellArea(i);
-    for (size_t j = 0; j < g.n_lon(); ++j) {
-      const double v = field.GetAsDouble(i * g.n_lon() + j);
-      if (std::isnan(v)) continue;
-      num += w * v;
-      den += w;
-    }
-  }
+  size_t cell = 0;
+  ForEachAsDouble(field, [&](double v) {
+    const double w = area[cell++ / g.n_lon()];
+    if (std::isnan(v)) return;
+    num += w * v;
+    den += w;
+  });
   if (den == 0) return InvalidArgument("AreaWeightedMean: all missing");
   return num / den;
 }
@@ -267,17 +295,18 @@ Result<NDArray> ExtractPatches(const NDArray& field, size_t ph, size_t pw) {
     return InvalidArgument("ExtractPatches: patch larger than field");
   }
   NDArray out = NDArray::Zeros({py * px, channels, ph, pw}, input.dtype());
-  size_t patch = 0;
+  // Every patch row is a contiguous run of pw elements in the input, so
+  // the copy is a memcpy per row for any dtype.
+  const size_t esize = DTypeSize(input.dtype());
+  const size_t row_bytes = pw * esize;
+  const std::byte* src = input.raw_bytes().data();
+  std::byte* dst = out.raw_bytes_mut().data();
   for (size_t by = 0; by < py; ++by) {
-    for (size_t bx = 0; bx < px; ++bx, ++patch) {
+    for (size_t bx = 0; bx < px; ++bx) {
       for (size_t c = 0; c < channels; ++c) {
-        for (size_t y = 0; y < ph; ++y) {
-          for (size_t x = 0; x < pw; ++x) {
-            const size_t src =
-                c * h * w + (by * ph + y) * w + (bx * pw + x);
-            const size_t dst = ((patch * channels + c) * ph + y) * pw + x;
-            out.SetFromDouble(dst, input.GetAsDouble(src));
-          }
+        for (size_t y = 0; y < ph; ++y, dst += row_bytes) {
+          const size_t first = c * h * w + (by * ph + y) * w + bx * pw;
+          std::memcpy(dst, src + first * esize, row_bytes);
         }
       }
     }

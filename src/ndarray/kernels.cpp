@@ -1,7 +1,10 @@
 #include "ndarray/kernels.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace drai {
 
@@ -16,28 +19,31 @@ void CheckSameShapeDtype(const NDArray& a, const NDArray& b) {
   }
 }
 
-template <typename T, typename Op>
-bool TryBinaryFast(const NDArray& a, const NDArray& b, NDArray& out, Op op) {
-  if (a.dtype() != DTypeOf<T>::value) return false;
-  if (!a.IsContiguous() || !b.IsContiguous()) return false;
-  const T* pa = a.data<T>();
-  const T* pb = b.data<T>();
-  T* po = out.data<T>();
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) po[i] = op(pa[i], pb[i]);
-  return true;
+NDArray Dense(const NDArray& a) {
+  return a.IsContiguous() ? a : a.AsContiguous();
 }
 
 template <typename Op>
 NDArray Binary(const NDArray& a, const NDArray& b, Op op) {
   CheckSameShapeDtype(a, b);
+  const NDArray x = Dense(a);
+  const NDArray y = Dense(b);
   NDArray out = NDArray::Zeros(a.shape(), a.dtype());
-  if (TryBinaryFast<float>(a, b, out, op)) return out;
-  if (TryBinaryFast<double>(a, b, out, op)) return out;
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) {
-    out.SetFromDouble(i, op(a.GetAsDouble(i), b.GetAsDouble(i)));
-  }
+  VisitDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    const auto px = x.span<T>();
+    const auto py = y.span<T>();
+    const auto po = out.span<T>();
+    for (size_t i = 0; i < po.size(); ++i) {
+      // Native float/double arithmetic rounds +, -, * exactly as the
+      // through-double path would; other dtypes go through double.
+      if constexpr (std::is_floating_point_v<T>) {
+        po[i] = op(px[i], py[i]);
+      } else {
+        po[i] = FromDouble<T>(op(ToDouble(px[i]), ToDouble(py[i])));
+      }
+    }
+  });
   return out;
 }
 
@@ -55,41 +61,26 @@ NDArray Mul(const NDArray& a, const NDArray& b) {
 
 void ScaleShiftInPlace(NDArray& a, double scale, double shift) {
   if (a.IsContiguous() && a.dtype() == DType::kF32) {
-    float* p = a.data<float>();
-    const size_t n = a.numel();
     const float fs = static_cast<float>(scale);
     const float fo = static_cast<float>(shift);
-    for (size_t i = 0; i < n; ++i) p[i] = p[i] * fs + fo;
+    for (float& x : a.span<float>()) x = x * fs + fo;
     return;
   }
-  if (a.IsContiguous() && a.dtype() == DType::kF64) {
-    double* p = a.data<double>();
-    const size_t n = a.numel();
-    for (size_t i = 0; i < n; ++i) p[i] = p[i] * scale + shift;
-    return;
-  }
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) {
-    a.SetFromDouble(i, a.GetAsDouble(i) * scale + shift);
-  }
+  TransformInPlace(a, [scale, shift](double x) { return x * scale + shift; });
 }
 
-void MapInPlace(NDArray& a, double (*fn)(double)) {
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) a.SetFromDouble(i, fn(a.GetAsDouble(i)));
-}
+void MapInPlace(NDArray& a, double (*fn)(double)) { TransformInPlace(a, fn); }
 
 double Sum(const NDArray& a) {
   // Kahan summation: pipelines reduce over 1e8-element fields and plain
   // accumulation loses digits the precision bench would misattribute.
   double sum = 0, c = 0;
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) {
-    const double y = a.GetAsDouble(i) - c;
+  ForEachAsDouble(a, [&](double x) {
+    const double y = x - c;
     const double t = sum + y;
     c = (t - sum) - y;
     sum = t;
-  }
+  });
   return sum;
 }
 
@@ -100,18 +91,24 @@ double Mean(const NDArray& a) {
 }
 
 double Min(const NDArray& a) {
-  const size_t n = a.numel();
-  if (n == 0) throw std::invalid_argument("Min of empty array");
-  double m = a.GetAsDouble(0);
-  for (size_t i = 1; i < n; ++i) m = std::min(m, a.GetAsDouble(i));
+  if (a.numel() == 0) throw std::invalid_argument("Min of empty array");
+  double m = std::numeric_limits<double>::infinity();
+  bool first = true;
+  ForEachAsDouble(a, [&](double x) {
+    m = first ? x : std::min(m, x);
+    first = false;
+  });
   return m;
 }
 
 double Max(const NDArray& a) {
-  const size_t n = a.numel();
-  if (n == 0) throw std::invalid_argument("Max of empty array");
-  double m = a.GetAsDouble(0);
-  for (size_t i = 1; i < n; ++i) m = std::max(m, a.GetAsDouble(i));
+  if (a.numel() == 0) throw std::invalid_argument("Max of empty array");
+  double m = -std::numeric_limits<double>::infinity();
+  bool first = true;
+  ForEachAsDouble(a, [&](double x) {
+    m = first ? x : std::max(m, x);
+    first = false;
+  });
   return m;
 }
 
@@ -120,47 +117,52 @@ double Variance(const NDArray& a) {
   if (n == 0) throw std::invalid_argument("Variance of empty array");
   const double mean = Mean(a);
   double acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a.GetAsDouble(i) - mean;
+  ForEachAsDouble(a, [&](double x) {
+    const double d = x - mean;
     acc += d * d;
-  }
+  });
   return acc / static_cast<double>(n);
 }
 
 size_t CountNaN(const NDArray& a) {
   if (!IsFloating(a.dtype())) return 0;
   size_t count = 0;
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) {
-    if (std::isnan(a.GetAsDouble(i))) ++count;
-  }
+  ForEachAsDouble(a, [&](double x) { count += std::isnan(x) ? 1 : 0; });
   return count;
 }
 
-double MaxAbsDiff(const NDArray& a, const NDArray& b) {
+namespace {
+/// Calls fn(a[i], b[i]) as doubles over two same-shape arrays of any dtypes.
+template <typename Fn>
+void ZipAsDouble(const NDArray& a, const NDArray& b, const char* what,
+                 Fn&& fn) {
   if (a.shape() != b.shape()) {
-    throw std::invalid_argument("MaxAbsDiff: shape mismatch");
+    throw std::invalid_argument(std::string(what) + ": shape mismatch");
   }
+  const NDArray x = a.Cast(DType::kF64);
+  const NDArray y = b.Cast(DType::kF64);
+  const auto px = x.span<double>();
+  const auto py = y.span<double>();
+  for (size_t i = 0; i < px.size(); ++i) fn(px[i], py[i]);
+}
+}  // namespace
+
+double MaxAbsDiff(const NDArray& a, const NDArray& b) {
   double m = 0;
-  const size_t n = a.numel();
-  for (size_t i = 0; i < n; ++i) {
-    m = std::max(m, std::fabs(a.GetAsDouble(i) - b.GetAsDouble(i)));
-  }
+  ZipAsDouble(a, b, "MaxAbsDiff", [&](double x, double y) {
+    m = std::max(m, std::fabs(x - y));
+  });
   return m;
 }
 
 double RmsDiff(const NDArray& a, const NDArray& b) {
-  if (a.shape() != b.shape()) {
-    throw std::invalid_argument("RmsDiff: shape mismatch");
-  }
-  const size_t n = a.numel();
-  if (n == 0) return 0;
   double acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a.GetAsDouble(i) - b.GetAsDouble(i);
+  ZipAsDouble(a, b, "RmsDiff", [&](double x, double y) {
+    const double d = x - y;
     acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(n));
+  });
+  const size_t n = a.numel();
+  return n == 0 ? 0 : std::sqrt(acc / static_cast<double>(n));
 }
 
 }  // namespace drai

@@ -1,14 +1,45 @@
 // drai/ndarray/kernels.hpp
 //
-// Elementwise and reduction kernels over NDArray. Generic (dtype-erased)
-// code paths route through GetAsDouble; the f32/f64 contiguous fast paths
-// are specialized because normalization and feature extraction dominate
-// pipeline compute.
+// Elementwise and reduction kernels over NDArray.
+//
+// Typed-access rule: a kernel dispatches on dtype once per array
+// (VisitDType), takes the array as span<T>() (a non-contiguous view goes
+// through AsContiguous() first) and runs one loop templated on T, with the
+// element conversions ToDouble / FromDouble<T>. Those are exactly the
+// conversions of NDArray::GetAsDouble / SetFromDouble, so the typed loop
+// writes the bytes the per-element path would. GetAsDouble/SetFromDouble
+// stay for generic and test code only; no kernel loops over them.
+// ForEachAsDouble and TransformInPlace below package the rule for callers
+// outside this module (normalizer sweeps, codecs, quality assessment).
 #pragma once
 
 #include "ndarray/ndarray.hpp"
 
 namespace drai {
+
+/// Calls fn(x) for every element of `a` as a double, in row-major order.
+template <typename Fn>
+void ForEachAsDouble(const NDArray& a, Fn&& fn) {
+  const NDArray in = a.IsContiguous() ? a : a.AsContiguous();
+  VisitDType(in.dtype(), [&](auto tag) {
+    for (const auto x : in.span<decltype(tag)>()) fn(ToDouble(x));
+  });
+}
+
+/// a[i] = fn(a[i]) through double, in row-major order. Honors views.
+template <typename Fn>
+void TransformInPlace(NDArray& a, Fn&& fn) {
+  if (!a.IsContiguous()) {
+    NDArray dense = a.AsContiguous();
+    TransformInPlace(dense, fn);
+    a.CopyFrom(dense);
+    return;
+  }
+  VisitDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    for (T& x : a.span<T>()) x = FromDouble<T>(fn(ToDouble(x)));
+  });
+}
 
 /// out[i] = a[i] + b[i]; shapes and dtypes must match. Returns a new
 /// contiguous array.
@@ -19,7 +50,7 @@ NDArray Mul(const NDArray& a, const NDArray& b);
 /// In-place scalar affine: a[i] = a[i] * scale + shift. Honors views.
 void ScaleShiftInPlace(NDArray& a, double scale, double shift);
 
-/// Elementwise map via double (slow generic path): a[i] = fn(a[i]).
+/// Elementwise map via double: a[i] = fn(a[i]).
 void MapInPlace(NDArray& a, double (*fn)(double));
 
 /// Reductions over the whole array (any view, any dtype).

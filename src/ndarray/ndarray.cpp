@@ -98,6 +98,50 @@ size_t NDArray::FlatToOffsetElems(size_t flat) const {
   return static_cast<size_t>(off);
 }
 
+template <typename Fn>
+void NDArray::ForEachOffset(Fn&& fn) const {
+  if (numel() == 0) return;
+  if (shape_.empty()) {
+    fn(int64_t{0});
+    return;
+  }
+  // Innermost dim as a strided run; an odometer over the outer dims moves
+  // the run's first offset by one stride per step.
+  const size_t len = shape_.back();
+  const int64_t step = strides_.back();
+  std::vector<size_t> idx(shape_.size() - 1, 0);
+  int64_t row = 0;
+  for (;;) {
+    for (size_t k = 0; k < len; ++k) fn(row + step * static_cast<int64_t>(k));
+    size_t d = idx.size();
+    for (;;) {
+      if (d == 0) return;
+      --d;
+      if (++idx[d] < shape_[d]) {
+        row += strides_[d];
+        break;
+      }
+      row -= strides_[d] * static_cast<int64_t>(shape_[d] - 1);
+      idx[d] = 0;
+    }
+  }
+}
+
+void NDArray::CopyElements(const NDArray& view, std::byte* dense,
+                           bool gather) {
+  const size_t esize = DTypeSize(view.dtype_);
+  std::byte* base = view.BasePtr();
+  view.ForEachOffset([&](int64_t off) {
+    std::byte* elem = base + static_cast<size_t>(off) * esize;
+    if (gather) {
+      std::memcpy(dense, elem, esize);
+    } else {
+      std::memcpy(elem, dense, esize);
+    }
+    dense += esize;
+  });
+}
+
 std::span<const std::byte> NDArray::raw_bytes() const {
   if (!IsContiguous()) {
     throw std::logic_error("raw_bytes on non-contiguous view");
@@ -118,49 +162,11 @@ double NDArray::GetAsDouble(size_t flat_index) const {
   }
   const std::byte* p =
       BasePtr() + FlatToOffsetElems(flat_index) * DTypeSize(dtype_);
-  switch (dtype_) {
-    case DType::kF16: {
-      uint16_t h;
-      std::memcpy(&h, p, 2);
-      return HalfToFloat(h);
-    }
-    case DType::kF32: {
-      float v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    case DType::kF64: {
-      double v;
-      std::memcpy(&v, p, 8);
-      return v;
-    }
-    case DType::kI8: {
-      int8_t v;
-      std::memcpy(&v, p, 1);
-      return v;
-    }
-    case DType::kI16: {
-      int16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    case DType::kI32: {
-      int32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    case DType::kI64: {
-      int64_t v;
-      std::memcpy(&v, p, 8);
-      return static_cast<double>(v);
-    }
-    case DType::kU8: {
-      uint8_t v;
-      std::memcpy(&v, p, 1);
-      return v;
-    }
-  }
-  throw std::logic_error("unreachable dtype");
+  return VisitDType(dtype_, [p](auto tag) {
+    decltype(tag) v{};
+    std::memcpy(&v, p, sizeof(v));
+    return ToDouble(v);
+  });
 }
 
 void NDArray::SetFromDouble(size_t flat_index, double value) {
@@ -168,47 +174,10 @@ void NDArray::SetFromDouble(size_t flat_index, double value) {
     throw std::out_of_range("SetFromDouble index out of range");
   }
   std::byte* p = BasePtr() + FlatToOffsetElems(flat_index) * DTypeSize(dtype_);
-  switch (dtype_) {
-    case DType::kF16: {
-      const uint16_t h = FloatToHalf(static_cast<float>(value));
-      std::memcpy(p, &h, 2);
-      return;
-    }
-    case DType::kF32: {
-      const float v = static_cast<float>(value);
-      std::memcpy(p, &v, 4);
-      return;
-    }
-    case DType::kF64: {
-      std::memcpy(p, &value, 8);
-      return;
-    }
-    case DType::kI8: {
-      const int8_t v = static_cast<int8_t>(value);
-      std::memcpy(p, &v, 1);
-      return;
-    }
-    case DType::kI16: {
-      const int16_t v = static_cast<int16_t>(value);
-      std::memcpy(p, &v, 2);
-      return;
-    }
-    case DType::kI32: {
-      const int32_t v = static_cast<int32_t>(value);
-      std::memcpy(p, &v, 4);
-      return;
-    }
-    case DType::kI64: {
-      const int64_t v = static_cast<int64_t>(value);
-      std::memcpy(p, &v, 8);
-      return;
-    }
-    case DType::kU8: {
-      const uint8_t v = static_cast<uint8_t>(value);
-      std::memcpy(p, &v, 1);
-      return;
-    }
-  }
+  VisitDType(dtype_, [p, value](auto tag) {
+    const auto v = FromDouble<decltype(tag)>(value);
+    std::memcpy(p, &v, sizeof(v));
+  });
 }
 
 NDArray NDArray::Slice(size_t dim, size_t start, size_t stop) const {
@@ -271,29 +240,30 @@ NDArray NDArray::Reshape(Shape new_shape) const {
 }
 
 NDArray NDArray::AsContiguous() const {
-  if (IsContiguous()) {
-    // Still deep-copy so the result owns fresh storage (documented copy).
-    NDArray out = Zeros(shape_, dtype_);
-    std::memcpy(out.BasePtr(), BasePtr(), nbytes());
-    return out;
-  }
+  // Always a fresh copy, so the result owns its storage (documented copy).
   NDArray out = Zeros(shape_, dtype_);
-  const size_t n = numel();
-  const size_t esize = DTypeSize(dtype_);
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(out.BasePtr() + i * esize,
-                BasePtr() + FlatToOffsetElems(i) * esize, esize);
+  if (IsContiguous()) {
+    std::memcpy(out.BasePtr(), BasePtr(), nbytes());
+  } else {
+    CopyElements(*this, out.BasePtr(), /*gather=*/true);
   }
   return out;
 }
 
 NDArray NDArray::Cast(DType target) const {
   if (target == dtype_) return AsContiguous();
+  const NDArray in = IsContiguous() ? *this : AsContiguous();
   NDArray out = Zeros(shape_, target);
-  const size_t n = numel();
-  for (size_t i = 0; i < n; ++i) {
-    out.SetFromDouble(i, GetAsDouble(i));
-  }
+  VisitDType(dtype_, [&](auto from) {
+    const auto src = in.span<decltype(from)>();
+    VisitDType(target, [&](auto to) {
+      using To = decltype(to);
+      const auto dst = out.span<To>();
+      for (size_t i = 0; i < src.size(); ++i) {
+        dst[i] = FromDouble<To>(ToDouble(src[i]));
+      }
+    });
+  });
   return out;
 }
 
@@ -304,17 +274,22 @@ void NDArray::CopyFrom(const NDArray& src) {
   if (src.dtype() != dtype_) {
     throw std::invalid_argument("CopyFrom: dtype mismatch");
   }
-  const size_t n = numel();
-  const size_t esize = DTypeSize(dtype_);
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(BasePtr() + FlatToOffsetElems(i) * esize,
-                src.BasePtr() + src.FlatToOffsetElems(i) * esize, esize);
+  const NDArray in = src.IsContiguous() ? src : src.AsContiguous();
+  if (IsContiguous()) {
+    // memmove: `src` may be a view of this very storage.
+    std::memmove(BasePtr(), in.BasePtr(), nbytes());
+  } else {
+    CopyElements(*this, in.BasePtr(), /*gather=*/false);
   }
 }
 
 void NDArray::Fill(double value) {
-  const size_t n = numel();
-  for (size_t i = 0; i < n; ++i) SetFromDouble(i, value);
+  VisitDType(dtype_, [&](auto tag) {
+    using T = decltype(tag);
+    const T v = FromDouble<T>(value);
+    T* base = reinterpret_cast<T*>(BasePtr());
+    ForEachOffset([&](int64_t off) { base[off] = v; });
+  });
 }
 
 }  // namespace drai

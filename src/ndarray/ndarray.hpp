@@ -7,7 +7,8 @@
 //
 // Semantics follow NumPy: Slice/Transpose return views sharing storage;
 // Reshape requires contiguity; Cast/AsContiguous copy. Element access is
-// checked in at<T>() and unchecked via data<T>() for kernels.
+// checked in at<T>(); kernels take a whole contiguous array as span<T>()
+// and loop over it once per dtype (see ndarray/kernels.hpp).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,12 +78,23 @@ class NDArray {
   template <typename T>
   const T* data() const;
 
+  /// The elements of a contiguous array as a typed span, in row-major
+  /// order. Throws std::invalid_argument on a dtype mismatch and
+  /// std::logic_error on a non-contiguous view (take AsContiguous() first).
+  /// The access path for kernels: dispatch on dtype once (VisitDType), then
+  /// loop over the span with ToDouble / FromDouble<T>.
+  template <typename T>
+  std::span<T> span();
+  template <typename T>
+  std::span<const T> span() const;
+
   /// Untyped view of the storage bytes (contiguous arrays only).
   [[nodiscard]] std::span<const std::byte> raw_bytes() const;
   [[nodiscard]] std::span<std::byte> raw_bytes_mut();
 
   /// Read element i (flattened, respecting strides) as double, regardless
-  /// of dtype. Slow path for generic code (stats, assessors, tests).
+  /// of dtype. One element per call, with a dtype switch and a div/mod per
+  /// dimension: for generic and test code, never for a kernel's inner loop.
   [[nodiscard]] double GetAsDouble(size_t flat_index) const;
   /// Write element i from a double (converted to dtype).
   void SetFromDouble(size_t flat_index, double value);
@@ -113,6 +126,13 @@ class NDArray {
           Shape shape, std::vector<int64_t> strides, DType dtype);
 
   [[nodiscard]] size_t FlatToOffsetElems(size_t flat) const;
+  /// Calls fn(offset) with the element offset of every element of this
+  /// view, in row-major order, without a div/mod per element.
+  template <typename Fn>
+  void ForEachOffset(Fn&& fn) const;
+  /// Copies the elements of `view` into (gather) or out of (scatter) the
+  /// dense row-major buffer `dense`.
+  static void CopyElements(const NDArray& view, std::byte* dense, bool gather);
   [[nodiscard]] std::byte* BasePtr() const {
     return storage_->data() + offset_bytes_;
   }
@@ -154,6 +174,24 @@ const T& NDArray::at(std::span<const size_t> idx) const {
   }
   CheckIndex(idx);
   return *(reinterpret_cast<const T*>(BasePtr()) + IndexToOffsetElems(idx));
+}
+
+template <typename T>
+std::span<T> NDArray::span() {
+  if (DTypeOf<T>::value != dtype_) {
+    throw std::invalid_argument("span<T>: dtype mismatch");
+  }
+  if (!IsContiguous()) throw std::logic_error("span<T> on non-contiguous view");
+  return {reinterpret_cast<T*>(BasePtr()), numel()};
+}
+
+template <typename T>
+std::span<const T> NDArray::span() const {
+  if (DTypeOf<T>::value != dtype_) {
+    throw std::invalid_argument("span<T>: dtype mismatch");
+  }
+  if (!IsContiguous()) throw std::logic_error("span<T> on non-contiguous view");
+  return {reinterpret_cast<const T*>(BasePtr()), numel()};
 }
 
 template <typename T>

@@ -115,7 +115,8 @@ class Communicator {
     static_assert(std::is_trivially_copyable_v<T>);
     const Bytes b = Recv(src, tag);
     std::vector<T> v(b.size() / sizeof(T));
-    std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (!v.empty()) std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
     return v;
   }
 

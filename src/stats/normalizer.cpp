@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ndarray/kernels.hpp"
+
 namespace drai::stats {
 
 std::string_view NormKindName(NormKind k) {
@@ -50,13 +52,9 @@ void Normalizer::ObserveMatrix(const NDArray& matrix) {
   if (matrix.shape()[1] != features_.size()) {
     throw std::invalid_argument("ObserveMatrix: feature count mismatch");
   }
-  const size_t rows = matrix.shape()[0];
   const size_t cols = matrix.shape()[1];
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      Observe(c, matrix.GetAsDouble(r * cols + c));
-    }
-  }
+  size_t i = 0;
+  ForEachAsDouble(matrix, [&](double x) { Observe(i++ % cols, x); });
 }
 
 void Normalizer::Merge(const Normalizer& other) {
@@ -130,23 +128,15 @@ void Normalizer::ApplyMatrix(NDArray& matrix) const {
   if (matrix.rank() != 2 || matrix.shape()[1] != features_.size()) {
     throw std::invalid_argument("ApplyMatrix: shape mismatch");
   }
-  const size_t rows = matrix.shape()[0];
   const size_t cols = matrix.shape()[1];
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      const size_t i = r * cols + c;
-      matrix.SetFromDouble(i, Apply(c, matrix.GetAsDouble(i)));
-    }
-  }
+  size_t i = 0;
+  TransformInPlace(matrix, [&](double x) { return Apply(i++ % cols, x); });
 }
 
 void Normalizer::ApplyAll(NDArray& array, size_t feature) const {
   CheckFitted();
   CheckFeature(feature);
-  const size_t n = array.numel();
-  for (size_t i = 0; i < n; ++i) {
-    array.SetFromDouble(i, Apply(feature, array.GetAsDouble(i)));
-  }
+  TransformInPlace(array, [&](double x) { return Apply(feature, x); });
 }
 
 double Normalizer::Center(size_t feature) const {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "container/grib_lite.hpp"
 #include "container/netcdf_lite.hpp"
@@ -59,27 +61,56 @@ std::vector<ClimateField> GenerateClimateFields(const ClimateConfig& config) {
                        Amplitude(variable) * rng.Uniform(0.3, 1.0)});
     }
     Rng dropout_rng = rng.Split();
+    // Same-order rule: every cell is computed from the same expressions,
+    // summed wave by wave in the same order, as the per-cell form
+    //   v = Baseline(lat) + sum_w amp_w * sin(k_lon_w * (lon + speed_w * t)
+    //                                          + phase_w)
+    //                                   * cos(k_lat_w * lat * kDegToRad)
+    // and only terms invariant along a loop are hoisted out of it: the
+    // baseline and cos terms per row, the sin terms per (time, column).
+    // Output bytes are pinned (tests/test_golden.cpp), so recurrences for
+    // the trig terms, -ffast-math, FMA contraction and vectorised sin are
+    // all off limits: each changes low bits.
+    const size_t n_lat = g.n_lat();
+    const size_t n_lon = g.n_lon();
+    const size_t n_waves = waves.size();
+    std::vector<double> baseline(n_lat);
+    std::vector<double> cos_lat(n_lat * n_waves);  // [row][wave]
+    for (size_t i = 0; i < n_lat; ++i) {
+      const double lat = g.lat(i);
+      baseline[i] = Baseline(variable, lat);
+      for (size_t k = 0; k < n_waves; ++k) {
+        cos_lat[i * n_waves + k] = std::cos(waves[k].k_lat * lat * kDegToRad);
+      }
+    }
+    std::vector<double> sin_lon(n_lon * n_waves);  // [column][wave]
     for (size_t t = 0; t < config.n_times; ++t) {
+      for (size_t j = 0; j < n_lon; ++j) {
+        const double lon = g.lon(j) * kDegToRad;
+        for (size_t k = 0; k < n_waves; ++k) {
+          const Wave& w = waves[k];
+          sin_lon[j * n_waves + k] = std::sin(
+              w.k_lon * (lon + w.speed * static_cast<double>(t)) + w.phase);
+        }
+      }
       ClimateField f;
       f.variable = variable;
       f.valid_time = static_cast<int64_t>(t) * 21600;  // 6-hourly
-      f.field = NDArray::Zeros({g.n_lat(), g.n_lon()}, DType::kF64);
-      for (size_t i = 0; i < g.n_lat(); ++i) {
-        const double lat = g.lat(i);
-        for (size_t j = 0; j < g.n_lon(); ++j) {
-          const double lon = g.lon(j) * kDegToRad;
-          double v = Baseline(variable, lat);
-          for (const Wave& w : waves) {
-            v += w.amp *
-                 std::sin(w.k_lon * (lon + w.speed * static_cast<double>(t)) +
-                          w.phase) *
-                 std::cos(w.k_lat * lat * kDegToRad);
+      f.field = NDArray::Zeros({n_lat, n_lon}, DType::kF64);
+      const std::span<double> cells = f.field.span<double>();
+      for (size_t i = 0; i < n_lat; ++i) {
+        const double* c = &cos_lat[i * n_waves];
+        for (size_t j = 0; j < n_lon; ++j) {
+          const double* s = &sin_lon[j * n_waves];
+          double v = baseline[i];
+          for (size_t k = 0; k < n_waves; ++k) {
+            v += waves[k].amp * s[k] * c[k];
           }
           if (config.missing_prob > 0 &&
               dropout_rng.Bernoulli(config.missing_prob)) {
             v = std::numeric_limits<double>::quiet_NaN();
           }
-          f.field.SetFromDouble(i * g.n_lon() + j, v);
+          cells[i * n_lon + j] = v;
         }
       }
       out.push_back(std::move(f));
@@ -106,9 +137,8 @@ Bytes GenerateClimateNetcdf(const ClimateConfig& config) {
   lat.name = "lat";
   lat.dims = {"lat"};
   lat.data = NDArray::Zeros({config.n_lat}, DType::kF64);
-  for (size_t i = 0; i < config.n_lat; ++i) {
-    lat.data.SetFromDouble(i, g.lat(i));
-  }
+  const std::span<double> lats = lat.data.span<double>();
+  for (size_t i = 0; i < config.n_lat; ++i) lats[i] = g.lat(i);
   lat.attrs["units"] = container::AttrValue::String("degrees_north");
   nc.AddVariable(std::move(lat)).OrDie();
 

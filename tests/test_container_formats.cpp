@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "codec/codec.hpp"
 #include "common/rng.hpp"
 #include "container/bplite.hpp"
 #include "container/grib_lite.hpp"
@@ -164,6 +165,35 @@ TEST(GribLite, CorruptPayloadCaughtByCrc) {
   ASSERT_TRUE(AppendGribMessage(file, msg).ok());
   file[file.size() / 2] ^= std::byte{0x10};
   EXPECT_EQ(DecodeGribFile(file).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(GribLite, HugeGridOnTinyPayloadRejectedBeforeAllocating) {
+  // A well-formed header and missing-value bitmap for an 8192 x 8192 grid
+  // (a 512 MiB f64 field), followed by 6 bytes of quanta. The decoder must
+  // see the payload is short before it allocates the field.
+  const uint64_t side = 8192;
+  const size_t n = side * side;
+  ByteWriter w;
+  w.PutRaw("GRBL", 4);
+  w.PutString("t2m");
+  w.PutI64(0);
+  w.PutI32(0);
+  w.PutVarU64(side);
+  w.PutVarU64(side);
+  w.PutU8(16);
+  w.PutF64(250.0);
+  w.PutF64(0.01);
+  const Bytes bitmap((n + 7) / 8, std::byte{0});
+  w.PutBlob(codec::Encode(codec::Codec::kRle, bitmap).value());
+  for (uint16_t q : {1, 2, 3}) w.PutU16(q);
+  w.PutU32(0);
+  const Bytes file = w.Take();
+  ASSERT_LT(file.size(), 64u * 1024);
+  const auto decoded = DecodeGribFile(file);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().ToString().find("payload shorter"),
+            std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(GribLite, RejectsNonFloatingAndBadRank) {

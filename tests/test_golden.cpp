@@ -1,0 +1,309 @@
+// drai/tests/test_golden.cpp
+//
+// The committed byte gate. Every digest below is a SHA-256 of bytes the
+// library writes, pinned to a fixed value:
+//
+//   * the synthetic climate generators (decoded fields, GRIB-lite bytes,
+//     NetCDF-lite bytes) on {gaussian, uniform} grids x {no dropout, 0.5%
+//     dropout};
+//   * the dataset and provenance record of all four archetypes at small
+//     sizes, each under {thread x1, thread x4, spmd x4, spmd x4 + 1%
+//     injected faults};
+//   * the `bench_parallel_pipeline` seed workload (59d678.../c7251b...).
+//
+// A change that moves any output byte fails here and names the cell. A
+// change that is meant to move bytes re-pins these digests explicitly, in
+// its own commit, together with the drbench pins.
+//
+// Platform: the generators call libm `std::sin`/`std::cos`/`std::asin`, so
+// the digests hold for glibc's libm. The library is built with
+// -ffp-contract=off, so they do not depend on whether the target has FMA
+// (the CI fma-target job checks them at -march=x86-64-v3). On another C
+// library the test skips.
+#include <gtest/gtest.h>
+
+#include <span>
+#include <string>
+#include <vector>
+
+#include "bench_util.hpp"
+#include "common/hash.hpp"
+#include "domains/bio.hpp"
+#include "domains/climate.hpp"
+#include "domains/fusion.hpp"
+#include "domains/materials.hpp"
+#include "grid/latlon.hpp"
+#include "ndarray/kernels.hpp"
+#include "parallel/striped_store.hpp"
+#include "workloads/climate.hpp"
+
+namespace drai {
+namespace {
+
+#if defined(__GLIBC__)
+#define DRAI_REQUIRE_GLIBC() (void)0
+#else
+#define DRAI_REQUIRE_GLIBC() \
+  GTEST_SKIP() << "digests are pinned for glibc's libm sin/cos"
+#endif
+
+// ---- generators -----------------------------------------------------------
+
+struct GeneratorCase {
+  bool gaussian;
+  double missing;
+  const char* fields;  ///< digest over (variable, valid_time, field bytes)
+  const char* grib;    ///< digest of GenerateClimateGrib
+  const char* netcdf;  ///< digest of GenerateClimateNetcdf
+};
+
+std::string CaseName(const GeneratorCase& c) {
+  return std::string(c.gaussian ? "gaussian" : "uniform") +
+         (c.missing > 0 ? "/missing" : "/dense");
+}
+
+workloads::ClimateConfig GeneratorConfig(const GeneratorCase& c) {
+  workloads::ClimateConfig config;  // 8 times x 32 x 64, t2m/z500/u10
+  config.gaussian_grid = c.gaussian;
+  config.missing_prob = c.missing;
+  return config;
+}
+
+std::string HexOf(std::span<const std::byte> bytes) {
+  return DigestToHex(Sha256::Hash(bytes));
+}
+
+const GeneratorCase kGeneratorCases[] = {
+    {true, 0.0,
+     "686f4d5c78f797346b67ca4223f9efd2b93bb98a158bc86e69be555d45eebcba",
+     "0cbe8a73721cf1046976caf836124315557e918fd3811ef3741d50c4be076f56",
+     "b94a6eafc890110465707127e6e40727f621ebbac6e5d533d84b281764da0e9b"},
+    {true, 0.005,
+     "ff84364819a13caa90a67cb800f313ddcc7c5a60423f6dc22c30bc7feb2342a0",
+     "ec8ad776bc61299960a58bd892c9490a0eaaebcbef322a1c3e13c2d22c6877ce",
+     "245fa0e633a33ddc0864709870234bc7041ba3572f2e10c02470dfeaf253d3ca"},
+    {false, 0.0,
+     "8a30b10c74e1ad10afa1b5f925b44077c3c15cec743019fc120bc38445f5f61e",
+     "6d89362c79a27200e543504722d5536acd82741ad1964f105e1c481945e622c9",
+     "6db7c4176c13be134737b3d96803c2f49169e47ec6df752e52adb0f08a6dda7c"},
+    {false, 0.005,
+     "dcfea2fd91f86a6f0360ef73cd6e83affc63f60a2bd69e37401be8832134b4c5",
+     "c203fdf449438473cf67cc2b9e08fb2478b05c87df2d89d93a3228cb68971465",
+     "d8d399487919360efe055492b2ed6eb1e1118c63bcf1e37eb8f2a976a09b2fcb"},
+};
+
+TEST(Golden, ClimateGeneratorDigests) {
+  DRAI_REQUIRE_GLIBC();
+  for (const GeneratorCase& c : kGeneratorCases) {
+    const workloads::ClimateConfig config = GeneratorConfig(c);
+    Sha256 fields;
+    for (const workloads::ClimateField& f :
+         workloads::GenerateClimateFields(config)) {
+      fields.Update(f.variable);
+      fields.Update(std::to_string(f.valid_time));
+      fields.Update(f.field.raw_bytes());
+    }
+    EXPECT_EQ(DigestToHex(fields.Finish()), c.fields) << CaseName(c);
+    EXPECT_EQ(HexOf(workloads::GenerateClimateGrib(config)), c.grib)
+        << CaseName(c);
+    EXPECT_EQ(HexOf(workloads::GenerateClimateNetcdf(config)), c.netcdf)
+        << CaseName(c);
+  }
+}
+
+// ---- kernels --------------------------------------------------------------
+
+std::string HexOfDouble(double v) {
+  return HexOf(std::as_bytes(std::span<const double, 1>(&v, 1)));
+}
+
+// One generated field with NaN cells through every regrid method, at each
+// floating input dtype, plus patches, casts and sums of the field stack.
+TEST(Golden, KernelDigests) {
+  DRAI_REQUIRE_GLIBC();
+  workloads::ClimateConfig config;
+  config.missing_prob = 0.005;
+  const std::vector<workloads::ClimateField> fields =
+      workloads::GenerateClimateFields(config);
+  const grid::LatLonGrid src = workloads::ClimateSourceGrid(config);
+  const grid::LatLonGrid dst = grid::LatLonGrid::Uniform(24, 48);
+
+  Sha256 regrid;
+  for (const DType dtype : {DType::kF64, DType::kF32, DType::kF16}) {
+    const NDArray field = fields[1].field.Cast(dtype);
+    for (const grid::RegridMethod method :
+         {grid::RegridMethod::kNearest, grid::RegridMethod::kBilinear,
+          grid::RegridMethod::kConservative}) {
+      const NDArray out = grid::Regrid(field, src, dst, method).value();
+      regrid.Update(out.raw_bytes());
+    }
+  }
+  EXPECT_EQ(DigestToHex(regrid.Finish()),
+            "629d59884cf30f99fcad9b5a2dd263a2b72b7dedc0a7bca497b9ce0dd3df3d9c")
+      << "regrid";
+
+  NDArray stack = NDArray::Zeros({3, 32, 64}, DType::kF64);
+  for (size_t v = 0; v < 3; ++v) {
+    NDArray slot = stack.Slice(0, v, v + 1).Reshape({32, 64});
+    slot.CopyFrom(fields[v * config.n_times].field);
+  }
+  EXPECT_EQ(HexOf(grid::ExtractPatches(stack, 8, 8).value().raw_bytes()),
+            "456967fd3534d962c26e44a941b3e73856592957d1a75e52b19be39ac5b9c54d")
+      << "patches";
+
+  // Integer targets take the dense t2m field: NaN and out-of-range values
+  // have no defined integer conversion.
+  const NDArray dense = workloads::GenerateClimateFields({})[0].field;
+  Sha256 casts;
+  for (const DType from : {DType::kF64, DType::kF32, DType::kF16}) {
+    for (const DType to : {DType::kF16, DType::kF32, DType::kF64}) {
+      casts.Update(stack.Cast(from).Cast(to).raw_bytes());
+    }
+    for (const DType to : {DType::kI16, DType::kI32}) {
+      casts.Update(dense.Cast(from).Cast(to).raw_bytes());
+    }
+  }
+  EXPECT_EQ(DigestToHex(casts.Finish()),
+            "dbebbb6d5ce5283f75fa8a8cbca0e06edb6d1f79ce5f2656b7973274dc70a2e5")
+      << "casts";
+
+  EXPECT_EQ(HexOfDouble(Sum(dense)),
+            "3708b017f87f133bdb0f8c829b45920c486be56335395673b479f5abee3a129a")
+      << "sum";
+  EXPECT_EQ(HexOfDouble(Mean(dense.Cast(DType::kF32))),
+            "a15212bb6a829bafcc46b5364d73bf15c5c4c586c481156b61011bee477cb1c7")
+      << "mean";
+}
+
+// ---- archetypes -----------------------------------------------------------
+
+/// The execution cells every archetype must produce identical bytes under.
+struct Cell {
+  const char* name;
+  core::Backend backend;
+  size_t workers;
+  bool faults;
+};
+constexpr Cell kCells[] = {
+    {"thread x1", core::Backend::kThread, 1, false},
+    {"thread x4", core::Backend::kThread, 4, false},
+    {"spmd x4", core::Backend::kSpmd, 4, false},
+    {"spmd x4 + 1% faults", core::Backend::kSpmd, 4, true},
+};
+
+/// Set a cell's execution knobs on any archetype config. Faults use the
+/// fault-recovery bench's seed with enough retries to clear each one.
+template <typename Config>
+Config WithCell(Config config, const Cell& cell) {
+  config.backend = cell.backend;
+  config.threads = cell.workers;
+  if (cell.faults) {
+    config.faults.seed = 0xFA17;
+    config.faults.rate = 0.01;
+    config.retry.max_attempts = 5;
+  }
+  return config;
+}
+
+struct Digests {
+  std::string data;
+  std::string provenance;
+  uint64_t retries = 0;  ///< attempts beyond one per partition
+};
+
+/// Run one archetype against a fresh store; digest its dataset directory.
+template <typename Config, typename RunFn>
+Digests RunArchetype(const Config& config, RunFn run, const Cell& cell) {
+  par::StripedStore store;
+  auto result = run(store, config);
+  EXPECT_TRUE(result.ok()) << cell.name << ": " << result.status().ToString();
+  if (!result.ok()) return {};
+  Digests out{bench::DatasetHash(store, config.dataset_dir),
+              result->provenance_hash};
+  for (const auto& stage : result->report.stages) {
+    out.retries += stage.attempts - stage.partitions;
+  }
+  return out;
+}
+
+template <typename Config, typename RunFn>
+void ExpectPinned(const Config& base, RunFn run, const Digests& pinned) {
+  for (const Cell& cell : kCells) {
+    const Digests got = RunArchetype(WithCell(base, cell), run, cell);
+    EXPECT_EQ(got.data, pinned.data) << cell.name;
+    EXPECT_EQ(got.provenance, pinned.provenance) << cell.name;
+    // The fault cell proves something only if a fault fired and was retried.
+    if (cell.faults) EXPECT_GT(got.retries, 0u) << cell.name;
+  }
+}
+
+TEST(Golden, ClimateArchetype) {
+  DRAI_REQUIRE_GLIBC();
+  domains::ClimateArchetypeConfig config;
+  config.workload.n_times = 8;
+  config.workload.n_lat = 16;
+  config.workload.n_lon = 32;
+  config.workload.missing_prob = 0.005;
+  config.target_lat = 16;
+  config.target_lon = 32;
+  ExpectPinned(
+      config, domains::RunClimateArchetype,
+      {"4c107dccd3ed798ce9a1a828651d3e8eb9ba1cf442d8a4e41df2d3c14baefb9c",
+       "380dc5d6afe9f90ff7e5e25f95fe05483cbfc7a7816aa6577c452c474fd32c33"});
+}
+
+TEST(Golden, FusionArchetype) {
+  DRAI_REQUIRE_GLIBC();
+  domains::FusionArchetypeConfig config;
+  config.workload.n_shots = 4;
+  config.workload.unlabeled_fraction = 0.2;
+  ExpectPinned(
+      config, domains::RunFusionArchetype,
+      {"c0263495cfb1bab8318d111d4c26ab1c563c6a49b15a020818f4ea5c39ce234a",
+       "64a5e8225d746f32b9f369ab76d0d74c87fb7cfe3de561b3fce7bc6e2fc6a18d"});
+}
+
+TEST(Golden, BioArchetype) {
+  DRAI_REQUIRE_GLIBC();
+  domains::BioArchetypeConfig config;
+  config.workload.n_subjects = 24;
+  ExpectPinned(
+      config, domains::RunBioArchetype,
+      {"6ef1576defa2da029333d66fcdf1d12fcd34f231635b59d6fe3111c9c4390585",
+       "cb002440618e199814d72e52ce5dfe7dca775cac3a5a574d6c67e583b5c54fde"});
+}
+
+TEST(Golden, MaterialsArchetype) {
+  DRAI_REQUIRE_GLIBC();
+  domains::MaterialsArchetypeConfig config;
+  config.workload.n_structures = 12;
+  ExpectPinned(
+      config, domains::RunMaterialsArchetype,
+      {"01f53e09e2013375b9a0089260340a1e62267373e659e9ea826c2d12a6206d0e",
+       "cb09680e57fb074bcf2a14a45980d0298c6ea86f9c84120c818dcb9b51f6ae51"});
+}
+
+// The seed workload of bench_parallel_pipeline, whose digests the docs
+// quote as 59d678.../c7251b... One cell: that bench sweeps worker counts.
+TEST(Golden, ParallelPipelineBenchWorkload) {
+  DRAI_REQUIRE_GLIBC();
+  domains::ClimateArchetypeConfig config;
+  config.workload.n_times = 48;
+  config.workload.n_lat = 64;
+  config.workload.n_lon = 128;
+  config.workload.variables = {"t2m", "z500", "u10"};
+  config.workload.missing_prob = 0.005;
+  config.target_lat = 48;
+  config.target_lon = 96;
+  config.patch = 8;
+  config.threads = 1;
+  const bench::RunAndHashResult run = bench::RunAndHash(config);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.data_hash,
+            "59d678acdd4afebe9a5d1e0981bc76d07d9025fff24668ce6e51ed19ccd0e108");
+  EXPECT_EQ(run.provenance_hash,
+            "c7251b120432ef2d8aec1bbbc5a5665663b4014fbaa9223dc6fe46b9eda58ea9");
+}
+
+}  // namespace
+}  // namespace drai

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "grid/latlon.hpp"
@@ -216,6 +217,106 @@ TEST(ExtractPatches, DropsPartialEdges) {
 TEST(ExtractPatches, RejectsOversizePatch) {
   EXPECT_FALSE(ExtractPatches(NDArray::Zeros({4, 4}), 8, 8).ok());
   EXPECT_FALSE(ExtractPatches(NDArray::Zeros({4, 4}), 0, 2).ok());
+}
+
+// ---- typed kernels vs the per-element reference -------------------------
+//
+// Regrid and ExtractPatches run one loop per storage type. Their bytes must
+// match GetAsDouble / SetFromDouble loops for f16, f32 and f64 inputs with
+// NaN cells, contiguous or not. (The f64 regrid bytes of all three methods
+// are pinned against the pre-typed code in tests/test_golden.cpp.)
+
+constexpr DType kFloatTypes[] = {DType::kF16, DType::kF32, DType::kF64};
+
+NDArray ScalarCast(const NDArray& a, DType target) {
+  NDArray out = NDArray::Zeros(a.shape(), target);
+  for (size_t i = 0; i < a.numel(); ++i) {
+    out.SetFromDouble(i, a.GetAsDouble(i));
+  }
+  return out;
+}
+
+std::vector<std::byte> BytesOf(const NDArray& contiguous) {
+  const auto b = contiguous.raw_bytes();
+  return {b.begin(), b.end()};
+}
+
+TEST(TypedKernels, RegridMatchesScalarConversionLoop) {
+  const LatLonGrid src = LatLonGrid::GaussianLike(16, 32);
+  const LatLonGrid dst = LatLonGrid::Uniform(12, 24);
+  NDArray base = AnalyticField(src);
+  for (size_t i = 0; i < base.numel(); i += 17) {
+    base.SetFromDouble(i, std::numeric_limits<double>::quiet_NaN());
+  }
+  for (const DType dt : kFloatTypes) {
+    const NDArray field = ScalarCast(base, dt);
+    // Same logical field over transposed storage: a non-contiguous view.
+    const NDArray view = ScalarCast(field.Transpose(), dt).Transpose();
+    ASSERT_FALSE(view.IsContiguous());
+    for (const RegridMethod m :
+         {RegridMethod::kNearest, RegridMethod::kBilinear,
+          RegridMethod::kConservative}) {
+      // All arithmetic is in double: the typed result must equal an f64
+      // regrid of the per-element widened field, narrowed per element.
+      const NDArray want = ScalarCast(
+          Regrid(ScalarCast(field, DType::kF64), src, dst, m).value(), dt);
+      const NDArray got = Regrid(field, src, dst, m).value();
+      EXPECT_EQ(got.dtype(), dt);
+      EXPECT_EQ(BytesOf(got), BytesOf(want))
+          << DTypeName(dt) << " " << RegridMethodName(m);
+      EXPECT_EQ(BytesOf(Regrid(view, src, dst, m).value()), BytesOf(want))
+          << DTypeName(dt) << " " << RegridMethodName(m) << " (view)";
+    }
+  }
+}
+
+/// The per-element patch loop ExtractPatches replaced.
+NDArray ScalarPatches(const NDArray& field, size_t ph, size_t pw) {
+  const bool rank2 = field.rank() == 2;
+  const size_t channels = rank2 ? 1 : field.shape()[0];
+  const size_t h = field.shape()[rank2 ? 0 : 1];
+  const size_t w = field.shape()[rank2 ? 1 : 2];
+  const size_t py = h / ph, px = w / pw;
+  NDArray out = NDArray::Zeros({py * px, channels, ph, pw}, field.dtype());
+  size_t patch = 0;
+  for (size_t by = 0; by < py; ++by) {
+    for (size_t bx = 0; bx < px; ++bx, ++patch) {
+      for (size_t c = 0; c < channels; ++c) {
+        for (size_t y = 0; y < ph; ++y) {
+          for (size_t x = 0; x < pw; ++x) {
+            const size_t s = c * h * w + (by * ph + y) * w + (bx * pw + x);
+            const size_t d = ((patch * channels + c) * ph + y) * pw + x;
+            out.SetFromDouble(d, field.GetAsDouble(s));
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(TypedKernels, ExtractPatchesMatchesScalarLoop) {
+  Rng rng(5);
+  for (const DType dt : {DType::kF16, DType::kF32, DType::kF64, DType::kI32}) {
+    NDArray wide = NDArray::Zeros({3, 10, 20}, dt);
+    for (size_t i = 0; i < wide.numel(); ++i) {
+      const bool nan = IsFloating(dt) && rng.Bernoulli(0.05);
+      wide.SetFromDouble(i, nan ? std::numeric_limits<double>::quiet_NaN()
+                                : rng.Uniform(-100, 100));
+    }
+    const NDArray strided = wide.Slice(2, 3, 16);  // [3, 10, 13], row gaps
+    ASSERT_FALSE(strided.IsContiguous());
+    const NDArray rank3 = ScalarCast(strided, dt);
+    const NDArray rank2 = ScalarCast(wide.Slice(0, 1, 2), dt).Reshape({10, 20});
+    for (const NDArray& in : {strided, rank3, rank2}) {
+      EXPECT_EQ(BytesOf(ExtractPatches(in, 4, 4).value()),
+                BytesOf(ScalarPatches(in, 4, 4)))
+          << DTypeName(dt) << " " << ShapeToString(in.shape());
+      EXPECT_EQ(BytesOf(ExtractPatches(in, 3, 5).value()),
+                BytesOf(ScalarPatches(in, 3, 5)))
+          << DTypeName(dt) << " " << ShapeToString(in.shape());
+    }
+  }
 }
 
 }  // namespace

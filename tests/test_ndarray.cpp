@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ndarray/dtype.hpp"
@@ -241,6 +243,142 @@ TEST(Kernels, EmptyReductionsThrow) {
   NDArray a = NDArray::Zeros({0});
   EXPECT_THROW(Mean(a), std::invalid_argument);
   EXPECT_THROW(Min(a), std::invalid_argument);
+}
+
+// ---- typed kernels vs the per-element reference -------------------------
+//
+// Every typed kernel must write exactly the bytes a GetAsDouble /
+// SetFromDouble loop over the same elements writes: f16, f32 and f64 inputs,
+// NaN cells, non-contiguous views.
+
+constexpr DType kFloatTypes[] = {DType::kF16, DType::kF32, DType::kF64};
+
+/// The per-element reference conversion (what Cast did before typed loops).
+NDArray ScalarCast(const NDArray& a, DType target) {
+  NDArray out = NDArray::Zeros(a.shape(), target);
+  for (size_t i = 0; i < a.numel(); ++i) {
+    out.SetFromDouble(i, a.GetAsDouble(i));
+  }
+  return out;
+}
+
+/// Uniform values in [lo, hi), a `nan_frac` share of them NaN.
+NDArray RandomArray(Shape shape, DType dtype, uint64_t seed,
+                    double nan_frac = 0.05, double lo = -300,
+                    double hi = 300) {
+  Rng rng(seed);
+  NDArray a = NDArray::Zeros(std::move(shape), dtype);
+  for (size_t i = 0; i < a.numel(); ++i) {
+    a.SetFromDouble(i, rng.Bernoulli(nan_frac)
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : rng.Uniform(lo, hi));
+  }
+  return a;
+}
+
+std::vector<std::byte> BytesOf(const NDArray& contiguous) {
+  const auto b = contiguous.raw_bytes();
+  return {b.begin(), b.end()};
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(NDArray, SpanChecksDtypeAndContiguity) {
+  NDArray a = NDArray::Zeros({3, 4}, DType::kF16);
+  EXPECT_EQ(a.span<Half>().size(), 12u);
+  EXPECT_THROW(a.span<float>(), std::invalid_argument);
+  EXPECT_THROW(a.Transpose().span<Half>(), std::logic_error);
+  const NDArray& c = a;
+  EXPECT_EQ(c.Slice(0, 1, 2).span<Half>().size(), 4u);  // contiguous slice
+}
+
+TEST(TypedKernels, ConversionsAreThoseOfGetAndSet) {
+  for (const double v : {0.1, -65504.0, 1e-6, 1e9, -3.75,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    const uint16_t h = FloatToHalf(static_cast<float>(v));
+    EXPECT_EQ(FromDouble<Half>(v).bits, h) << v;
+    EXPECT_EQ(BitsOf(ToDouble(Half{h})), BitsOf(HalfToFloat(h))) << v;
+    EXPECT_EQ(BitsOf(FromDouble<float>(v)), BitsOf(static_cast<float>(v)));
+  }
+  EXPECT_EQ(FromDouble<int16_t>(-3.75), int16_t{-3});  // truncation
+}
+
+TEST(TypedKernels, CastMatchesScalarLoop) {
+  for (const DType from : kFloatTypes) {
+    const NDArray base = RandomArray({6, 10}, from, 7);
+    for (const NDArray& in : {base, base.Transpose()}) {
+      for (const DType to : kFloatTypes) {
+        EXPECT_EQ(BytesOf(in.Cast(to)), BytesOf(ScalarCast(in, to)))
+            << DTypeName(from) << "->" << DTypeName(to);
+      }
+    }
+    // Integer targets and sources: finite, in range for every integer type.
+    const NDArray small = RandomArray({6, 10}, from, 8, 0.0, 0.0, 120.0);
+    for (const NDArray& in : {small, small.Transpose()}) {
+      for (const DType to : {DType::kI8, DType::kI16, DType::kI32,
+                             DType::kI64, DType::kU8}) {
+        const NDArray ints = in.Cast(to);
+        EXPECT_EQ(BytesOf(ints), BytesOf(ScalarCast(in, to)))
+            << DTypeName(from) << "->" << DTypeName(to);
+        EXPECT_EQ(BytesOf(ints.Cast(from)), BytesOf(ScalarCast(ints, from)))
+            << DTypeName(to) << "->" << DTypeName(from);
+      }
+    }
+  }
+}
+
+TEST(TypedKernels, CopyFromIntoSliceMatchesScalarLoop) {
+  for (const DType dt : kFloatTypes) {
+    const NDArray src_storage = RandomArray({4, 5, 3}, dt, 11);
+    const NDArray strided = src_storage.Transpose(1, 2);  // [4, 3, 5]
+    for (const NDArray& src : {strided, ScalarCast(strided, dt)}) {
+      NDArray got = RandomArray({4, 6, 5}, dt, 12);
+      NDArray want = ScalarCast(got, dt);
+      got.Slice(1, 1, 4).CopyFrom(src);
+      NDArray want_view = want.Slice(1, 1, 4);
+      for (size_t i = 0; i < src.numel(); ++i) {
+        want_view.SetFromDouble(i, src.GetAsDouble(i));
+      }
+      EXPECT_EQ(BytesOf(got), BytesOf(want)) << DTypeName(dt);
+    }
+  }
+}
+
+TEST(TypedKernels, FillOnViewMatchesScalarLoop) {
+  for (const DType dt : kFloatTypes) {
+    NDArray got = NDArray::Zeros({3, 4, 5}, dt);
+    NDArray want = NDArray::Zeros({3, 4, 5}, dt);
+    got.Slice(2, 1, 3).Fill(0.1);
+    NDArray want_view = want.Slice(2, 1, 3);
+    for (size_t i = 0; i < want_view.numel(); ++i) {
+      want_view.SetFromDouble(i, 0.1);
+    }
+    EXPECT_EQ(BytesOf(got), BytesOf(want)) << DTypeName(dt);
+  }
+}
+
+TEST(TypedKernels, SumMatchesScalarKahan) {
+  for (const DType dt : kFloatTypes) {
+    for (const double nan_frac : {0.0, 0.05}) {
+      const NDArray base = RandomArray({9, 14}, dt, 21, nan_frac);
+      for (const NDArray& in : {base, base.Transpose()}) {
+        double sum = 0, c = 0;
+        for (size_t i = 0; i < in.numel(); ++i) {
+          const double y = in.GetAsDouble(i) - c;
+          const double t = sum + y;
+          c = (t - sum) - y;
+          sum = t;
+        }
+        EXPECT_EQ(BitsOf(Sum(in)), BitsOf(sum)) << DTypeName(dt);
+        EXPECT_EQ(BitsOf(Mean(in)),
+                  BitsOf(sum / static_cast<double>(in.numel())));
+      }
+    }
+  }
 }
 
 }  // namespace
