@@ -80,6 +80,12 @@ struct CodecCase {
   const char* data_kind;
 };
 
+// gtest (and ctest's discovered test names) would otherwise print the raw
+// object bytes, pointer and padding included, so names changed per build.
+void PrintTo(const CodecCase& c, std::ostream* os) {
+  *os << CodecName(c.codec) << '_' << c.data_kind;
+}
+
 class CodecRoundTrip : public ::testing::TestWithParam<CodecCase> {
  protected:
   Bytes MakeData(size_t n) const {

@@ -76,6 +76,13 @@ struct RegridCase {
   bool src_gaussian;
 };
 
+// Without this, gtest prints the raw object bytes, uninitialised padding
+// included, and the discovered ctest names change from build to build.
+void PrintTo(const RegridCase& c, std::ostream* os) {
+  *os << RegridMethodName(c.method)
+      << (c.src_gaussian ? "_from_gaussian" : "_from_uniform");
+}
+
 class RegridAccuracy : public ::testing::TestWithParam<RegridCase> {};
 
 TEST_P(RegridAccuracy, SmoothFieldSurvivesResolutionChange) {
