@@ -201,7 +201,10 @@ Bytes DeltaCompressT(std::span<const std::byte> raw) {
   for (size_t i = 0; i < n; ++i) {
     T v;
     std::memcpy(&v, raw.data() + i * sizeof(T), sizeof(T));
-    const int64_t delta = static_cast<int64_t>(v) - static_cast<int64_t>(prev);
+    // Wrapping difference: full-range int64 neighbours can differ by more
+    // than INT64_MAX, where a signed subtraction would overflow.
+    const int64_t delta =
+        static_cast<int64_t>(static_cast<uint64_t>(v) - static_cast<uint64_t>(prev));
     w.PutVarI64(delta);
     prev = v;
   }
@@ -213,13 +216,17 @@ Result<Bytes> DeltaDecompressT(std::span<const std::byte> packed,
                                size_t raw_size) {
   if (raw_size % sizeof(T) != 0) return DataLoss("delta raw size not aligned");
   const size_t n = raw_size / sizeof(T);
+  // Every element takes at least one varint byte, so a header claiming more
+  // elements than payload bytes is corrupt; reject it before allocating.
+  if (n > packed.size()) return DataLoss("delta raw size exceeds payload");
   Bytes out(raw_size);
   ByteReader r(packed);
   T prev = 0;
   for (size_t i = 0; i < n; ++i) {
     int64_t delta = 0;
     DRAI_RETURN_IF_ERROR(r.GetVarI64(delta));
-    const T v = static_cast<T>(static_cast<int64_t>(prev) + delta);
+    const T v = static_cast<T>(static_cast<uint64_t>(prev) +
+                               static_cast<uint64_t>(delta));
     std::memcpy(out.data() + i * sizeof(T), &v, sizeof(T));
     prev = v;
   }

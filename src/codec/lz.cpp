@@ -97,6 +97,12 @@ Bytes LzCompress(std::span<const std::byte> raw) {
 
 Result<Bytes> LzDecompress(std::span<const std::byte> packed,
                            size_t raw_size) {
+  // A match token is at least 4 bytes and yields at most kMaxMatch bytes, a
+  // literal token yields fewer bytes than it holds. A header claiming more
+  // than that bound is corrupt; reject it before reserving.
+  if (raw_size / (kMaxMatch / 4) > packed.size()) {
+    return DataLoss("LZ raw size exceeds payload bound");
+  }
   Bytes out;
   out.reserve(raw_size);
   ByteReader r(packed);
@@ -115,6 +121,7 @@ Result<Bytes> LzDecompress(std::span<const std::byte> packed,
       DRAI_RETURN_IF_ERROR(r.GetVarU64(len));
       DRAI_RETURN_IF_ERROR(r.GetVarU64(dist));
       if (dist == 0 || dist > out.size()) return DataLoss("LZ bad distance");
+      if (len > kMaxMatch) return DataLoss("LZ match too long");
       if (out.size() + len > raw_size) return DataLoss("LZ match overrun");
       // Byte-at-a-time copy: overlapping matches (dist < len) must repeat.
       size_t src = out.size() - dist;

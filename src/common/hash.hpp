@@ -5,6 +5,13 @@
 //  * CRC-32      — on-disk integrity for every container format
 //  * SHA-256     — provenance content hashes (from-scratch implementation)
 //  * HMAC-SHA256 — keyed pseudonymization of PHI/PII identifiers
+//
+// CRC-32 and SHA-256 pick their kernel once per process from CPUID: on x86-64
+// with PCLMULQDQ the CRC folds 64 bytes per step by carry-less multiplication,
+// and with the SHA extensions the SHA-256 compression uses sha256rnds2. Every
+// other CPU runs the portable table loop and scalar rounds. Both paths give
+// the same bytes; there is no switch to force one. The portable kernels stay
+// reachable under `detail` so tests can compare the two.
 #pragma once
 
 #include <array>
@@ -58,5 +65,20 @@ std::string DigestToHex(const Sha256Digest& d);
 /// identifier maps to the same stable token under a given project key while
 /// remaining infeasible to invert without the key.
 Sha256Digest HmacSha256(std::string_view key, std::string_view message);
+
+// ---- detail: test-only reference kernels -----------------------------------
+// The portable code paths, whatever this CPU supports. Tests check the
+// dispatched Crc32/Sha256 against them byte for byte.
+namespace detail {
+
+/// Bytewise-table CRC-32, same contract as Crc32.
+uint32_t Crc32Portable(std::span<const std::byte> data, uint32_t seed = 0);
+
+/// Scalar SHA-256 compression of `nblocks` consecutive 64-byte blocks into
+/// `state` (no padding).
+void Sha256PortableBlocks(std::array<uint32_t, 8>& state, const uint8_t* data,
+                          size_t nblocks);
+
+}  // namespace detail
 
 }  // namespace drai

@@ -48,7 +48,9 @@ Result<NDArray> ReadTensor(ByteReader& r) {
     return DataLoss("tensor: payload size mismatch");
   }
   NDArray out = NDArray::Zeros(shape, dtype);
-  std::memcpy(out.raw_bytes_mut().data(), raw.data(), raw.size());
+  // An empty tensor's buffers may be null, and memcpy forbids null even for
+  // zero bytes.
+  if (!raw.empty()) std::memcpy(out.raw_bytes_mut().data(), raw.data(), raw.size());
   return out;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "codec/codec.hpp"
 #include "codec/quantize.hpp"
@@ -188,6 +189,58 @@ TEST(Codec, UnknownCodecIdRejected) {
 
 TEST(Codec, EmptyFrameIsDataLoss) {
   EXPECT_EQ(Decode({}).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(Codec, DeltaRoundTripsFullRangeIntegers) {
+  // Neighbouring words here differ by more than INT64_MAX, so the deltas
+  // wrap; they must still round-trip exactly.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr uint64_t kUMax = std::numeric_limits<uint64_t>::max();
+  ByteWriter w64;
+  for (const int64_t v : {int64_t{0}, kMax, kMin, kMax - 1, kMin + 1, kMax, int64_t{-1},
+                          kMin, int64_t{1}, kMin, kMax}) {
+    w64.PutI64(v);
+  }
+  for (const uint64_t v : {kUMax, uint64_t{0}, kUMax - 1, uint64_t{1} << 63,
+                           (uint64_t{1} << 63) - 1, uint64_t{1}, kUMax}) {
+    w64.PutU64(v);
+  }
+  const Bytes raw64 = w64.Take();
+  const auto back64 = Decode(Encode(Codec::kDeltaI64, raw64).value());
+  ASSERT_TRUE(back64.ok()) << back64.status().ToString();
+  EXPECT_EQ(*back64, raw64);
+
+  ByteWriter w32;
+  for (const int32_t v : {std::numeric_limits<int32_t>::max(),
+                          std::numeric_limits<int32_t>::min(), 0, -1,
+                          std::numeric_limits<int32_t>::max()}) {
+    w32.PutI32(v);
+  }
+  const Bytes raw32 = w32.Take();
+  const auto back32 = Decode(Encode(Codec::kDeltaI32, raw32).value());
+  ASSERT_TRUE(back32.ok()) << back32.status().ToString();
+  EXPECT_EQ(*back32, raw32);
+}
+
+// A frame whose header claims `raw_size` bytes over a payload of a few bytes.
+Bytes FrameClaiming(Codec codec, uint64_t raw_size) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(codec));
+  w.PutVarU64(raw_size);
+  for (int i = 0; i < 6; ++i) w.PutU8(0x02);
+  return w.Take();
+}
+
+TEST(Codec, DeltaHeaderClaimingAnExbibyteIsDataLoss) {
+  // Must fail on the header, before allocating the claimed size.
+  EXPECT_EQ(Decode(FrameClaiming(Codec::kDeltaI64, uint64_t{1} << 60)).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(Codec, LzHeaderClaimingAnExbibyteIsDataLoss) {
+  EXPECT_EQ(Decode(FrameClaiming(Codec::kLz, uint64_t{1} << 60)).status().code(),
+            StatusCode::kDataLoss);
 }
 
 // ---- quantization ---------------------------------------------------------------

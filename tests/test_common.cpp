@@ -251,6 +251,163 @@ TEST(Hash, Crc32KnownValue) {
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
 }
 
+TEST(Hash, Crc32KnownValuesOnFoldPath) {
+  // Buffers of >= 64 bytes take the carry-less-multiply kernel where the CPU
+  // has one. Expected values from Python's zlib.crc32, an independent
+  // implementation: zlib.crc32(b'a' * 2**20), zlib.crc32(bytes(4096)) and
+  // zlib.crc32(bytes(range(256)) * 4).
+  const std::string a(1 << 20, 'a');
+  EXPECT_EQ(Crc32(a.data(), a.size()), 0xD7CD5672u);
+  const std::string zeros(4096, '\0');
+  EXPECT_EQ(Crc32(zeros.data(), zeros.size()), 0xC71C0011u);
+  std::string ramp(1024, '\0');
+  for (size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<char>(i);
+  EXPECT_EQ(Crc32(ramp.data(), ramp.size()), 0xB70B4C26u);
+}
+
+// ---- hash: dispatched kernels against the portable reference --------------
+//
+// Crc32 and Sha256 may run hardware kernels; detail:: holds the portable
+// code. Each test compares the two byte for byte.
+
+std::vector<std::byte> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) b = static_cast<std::byte>(rng.UniformU64(256));
+  return out;
+}
+
+// SHA-256 built only from detail::Sha256PortableBlocks (FIPS 180-4 padding).
+Sha256Digest PortableSha256(std::span<const std::byte> data) {
+  std::array<uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                   0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                   0x1f83d9ab, 0x5be0cd19};
+  const auto* p = reinterpret_cast<const uint8_t*>(data.data());
+  const size_t whole = data.size() / 64;
+  detail::Sha256PortableBlocks(state, p, whole);
+  std::vector<uint8_t> tail(p + whole * 64, p + data.size());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  const uint64_t bits = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) tail.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  detail::Sha256PortableBlocks(state, tail.data(), tail.size() / 64);
+  Sha256Digest out;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out[4 * i + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+Sha256Digest PortableSha256(std::string_view s) {
+  return PortableSha256(std::span<const std::byte>(
+      reinterpret_cast<const std::byte*>(s.data()), s.size()));
+}
+
+// RFC 2104 HMAC over PortableSha256.
+Sha256Digest PortableHmac(std::string_view key, std::string_view message) {
+  std::string k(key);
+  if (k.size() > 64) {
+    const Sha256Digest kd = PortableSha256(key);
+    k.assign(reinterpret_cast<const char*>(kd.data()), kd.size());
+  }
+  k.resize(64, '\0');
+  std::string inner(64, '\0'), outer(64, '\0');
+  for (int i = 0; i < 64; ++i) {
+    inner[i] = static_cast<char>(k[i] ^ 0x36);
+    outer[i] = static_cast<char>(k[i] ^ 0x5c);
+  }
+  const Sha256Digest id = PortableSha256(inner.append(message));
+  outer.append(reinterpret_cast<const char*>(id.data()), id.size());
+  return PortableSha256(outer);
+}
+
+TEST(HashDifferential, Crc32AllShortLengthsAndOffsets) {
+  const auto buf = RandomBytes(1100 + 16, 41);
+  const std::span<const std::byte> all(buf);
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const auto s = all.subspan(off, len);
+      ASSERT_EQ(Crc32(s), detail::Crc32Portable(s)) << "off=" << off << " len=" << len;
+      ASSERT_EQ(Crc32(s, 0xDEADBEEFu), detail::Crc32Portable(s, 0xDEADBEEFu))
+          << "seeded off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(HashDifferential, Crc32OneMebibyteAtEveryOffset) {
+  const auto buf = RandomBytes((1 << 20) + 16, 42);
+  const std::span<const std::byte> all(buf);
+  for (size_t off = 0; off < 16; ++off) {
+    const auto s = all.subspan(off, 1 << 20);
+    EXPECT_EQ(Crc32(s), detail::Crc32Portable(s)) << "off=" << off;
+    EXPECT_EQ(Crc32(s, 0x12345678u), detail::Crc32Portable(s, 0x12345678u))
+        << "off=" << off;
+  }
+}
+
+TEST(HashDifferential, Crc32ChainsAcrossTheFoldThreshold) {
+  const auto buf = RandomBytes(4096 + 77, 43);
+  const std::span<const std::byte> all(buf);
+  for (const size_t total : {size_t{100}, size_t{300}, all.size()}) {
+    const auto whole = all.first(total);
+    const uint32_t expect = detail::Crc32Portable(whole);
+    for (const size_t cut : {0, 1, 15, 16, 17, 63, 64, 65, 79, 80, 127, 128, 129}) {
+      if (cut > total) continue;
+      const uint32_t head = Crc32(whole.first(cut));
+      EXPECT_EQ(Crc32(whole.subspan(cut), head), expect)
+          << "total=" << total << " cut=" << cut;
+    }
+  }
+}
+
+TEST(HashDifferential, Sha256AllShortLengthsAndOffsets) {
+  const auto buf = RandomBytes(1100 + 16, 44);
+  const std::span<const std::byte> all(buf);
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const auto s = all.subspan(off, len);
+      ASSERT_EQ(Sha256::Hash(s), PortableSha256(s)) << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(HashDifferential, Sha256OneMebibyteAtEveryOffset) {
+  const auto buf = RandomBytes((1 << 20) + 16, 45);
+  const std::span<const std::byte> all(buf);
+  for (size_t off = 0; off < 16; ++off) {
+    const auto s = all.subspan(off, 1 << 20);
+    EXPECT_EQ(Sha256::Hash(s), PortableSha256(s)) << "off=" << off;
+  }
+}
+
+TEST(HashDifferential, Sha256IncrementalUpdateSplits) {
+  const auto buf = RandomBytes(5000, 46);
+  const std::span<const std::byte> all(buf);
+  const Sha256Digest expect = PortableSha256(all);
+  for (const size_t step : {1, 63, 64, 65, 127, 128}) {
+    Sha256 ctx;
+    for (size_t i = 0; i < all.size(); i += step) {
+      ctx.Update(all.subspan(i, std::min(step, all.size() - i)));
+    }
+    EXPECT_EQ(ctx.Finish(), expect) << "step=" << step;
+  }
+}
+
+TEST(HashDifferential, HmacMatchesPortableForLongAndShortKeys) {
+  const auto bytes = RandomBytes(1000, 47);
+  const std::string text(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  for (const size_t key_len : {0, 1, 32, 63, 64, 65, 100, 200}) {
+    const std::string_view key = std::string_view(text).substr(0, key_len);
+    for (const size_t msg_len : {0, 1, 55, 56, 64, 119, 120, 300, 700}) {
+      const std::string_view msg = std::string_view(text).substr(300, msg_len);
+      EXPECT_EQ(HmacSha256(key, msg), PortableHmac(key, msg))
+          << "key=" << key_len << " msg=" << msg_len;
+    }
+  }
+}
+
 TEST(Hash, Fnv1aStableAndSeedSensitive) {
   const uint64_t a = Fnv1a64("drai");
   EXPECT_EQ(a, Fnv1a64("drai"));
