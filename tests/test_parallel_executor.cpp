@@ -7,6 +7,7 @@
 #include <mutex>
 #include <set>
 
+#include "common/hash.hpp"
 #include "core/executor.hpp"
 #include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
@@ -540,6 +541,255 @@ TEST(PipelineReport, TimeBreakdownSkipsSkewForSerialStages) {
   report.stages.push_back(par);
   EXPECT_NE(report.TimeBreakdown().find("skew"), std::string::npos);
   EXPECT_NE(report.TimeBreakdown().find("spread"), std::string::npos);
+}
+
+
+// ---- characterization: literal report rows ----------------------------------
+//
+// Pins the exact report every execution path produces — per-stage rows,
+// quarantine records, overlap-window count, provenance hash and bundle
+// digest — for one scenario per scheduling shape. The differential suites
+// only compare barrier against overlap, so a scheduler change that moved
+// both paths the same way would pass them; these literals do not move.
+// Timing-dependent fields (seconds, speculative_*, overlap_seconds_saved)
+// are left out.
+
+std::string CharFacts(const PipelineReport& report, const Pipeline& p,
+                      const DataBundle& bundle) {
+  std::string out;
+  for (const StageMetrics& m : report.stages) {
+    out += m.name + " s=" + std::to_string(static_cast<int>(m.status.code())) +
+           " " + std::string(ExecutionHintName(m.hint)) +
+           " p=" + std::to_string(m.partitions) + "/" +
+           std::to_string(m.partition_seconds.size()) +
+           " b=" + std::to_string(m.bundle_bytes_before) + "->" +
+           std::to_string(m.bundle_bytes_after) +
+           " a=" + std::to_string(m.attempts) +
+           " t=" + std::to_string(m.timeouts) + " q=[";
+    for (size_t i = 0; i < m.quarantined.size(); ++i) {
+      out += (i > 0 ? "," : "") + std::to_string(m.quarantined[i]);
+    }
+    out += "] ov=" + std::to_string(m.overlapped ? 1 : 0) + "\n";
+  }
+  out += "ok=" + std::to_string(report.ok ? 1 : 0) +
+         " error=" + std::to_string(static_cast<int>(report.error.code())) +
+         " windows=" + std::to_string(report.overlap_windows) + "\n";
+  for (const QuarantineRecord& q : report.quarantined) {
+    out += "quarantine " + q.stage + " stage=" + std::to_string(q.stage_index) +
+           " part=" + std::to_string(q.partition) +
+           " slot=" + std::to_string(q.slot.index) + "/" +
+           std::to_string(q.slot.count) + "[" + std::to_string(q.slot.lo) +
+           "," + std::to_string(q.slot.hi) + ")" +
+           " attempts=" + std::to_string(q.attempts) +
+           " code=" + std::to_string(static_cast<int>(q.error.code())) +
+           " units=" + std::to_string(q.units) +
+           " slice=" + std::to_string(q.slice.examples.size()) + "\n";
+  }
+  const std::string data = DigestToHex(Sha256::Hash(bundle.Serialize()));
+  out += "prov=" + p.provenance().RecordHash().substr(0, 16) +
+         " data=" + data.substr(0, 16) + "\n";
+  return out;
+}
+
+/// `n` examples whose labels come from the ingest stage's RNG stream.
+LambdaStage::Fn MakeExamples(size_t n) {
+  return [n](DataBundle& bundle, StageContext& ctx) -> Status {
+    for (size_t i = 0; i < n; ++i) {
+      shard::Example ex;
+      ex.key = "e" + std::to_string(100 + i);
+      ex.SetLabel(static_cast<int64_t>(ctx.rng().UniformU64(1000)));
+      bundle.examples.push_back(std::move(ex));
+    }
+    return Status::Ok();
+  };
+}
+
+/// A Run body that folds its RNG stream into every label, grows each record
+/// by one `count` feature (so byte accounting moves), and tallies the
+/// records it saw under `count`.
+LambdaStage::Fn Stir(const std::string& count) {
+  return [count](DataBundle& bundle, StageContext& ctx) -> Status {
+    for (auto& ex : bundle.examples) {
+      ex.SetLabel(ex.Label().value() * 7 +
+                  static_cast<int64_t>(ctx.rng().UniformU64(1000)));
+      ex.features[count] = NDArray::Full(
+          {1}, static_cast<double>(ex.Label().value()), DType::kF64);
+    }
+    ctx.NoteCount(count, bundle.examples.size());
+    return Status::Ok();
+  };
+}
+
+/// A hook that records one draw of its RNG slot as a provenance param.
+LambdaStage::Fn NoteDraw(const std::string& key) {
+  return [key](DataBundle&, StageContext& ctx) -> Status {
+    ctx.NoteParam(key, std::to_string(ctx.rng().UniformU64(1'000'000)));
+    return Status::Ok();
+  };
+}
+
+ParallelSpec ExamplesBy(size_t grain) {
+  ParallelSpec spec;
+  spec.axis = PartitionAxis::kExamples;
+  spec.grain = grain;
+  return spec;
+}
+
+std::string RunForFacts(Pipeline& p) {
+  DataBundle bundle;
+  const PipelineReport report = p.Run(bundle);
+  return CharFacts(report, p, bundle);
+}
+
+TEST(ExecutorCharacterization, SerialStageWithHooksRetriedAfterFault) {
+  PipelineOptions options;
+  options.seed = 11;
+  options.threads = 1;
+  FaultSite site;
+  site.stage = "hooked";
+  site.partition = 0;
+  site.fail_attempts = 1;
+  options.faults.sites.push_back(site);
+  Pipeline p("char-serial", options);
+  p.Add("make", StageKind::kIngest, MakeExamples(6));
+  p.Add("hooked", StageKind::kPreprocess, ExecutionHint::kSerial,
+        NoteDraw("before"), Stir("stirred"), NoteDraw("after"));
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  p.WithRetry(retry);
+  EXPECT_EQ(RunForFacts(p),
+            "make s=0 serial p=1/0 b=0->48 a=1 t=0 q=[] ov=0\n"
+            "hooked s=0 serial p=1/0 b=48->96 a=2 t=0 q=[] ov=0\n"
+            "ok=1 error=0 windows=0\n"
+            "prov=ec0e8add85b249dc data=fb42c5c02837df48\n");
+}
+
+Pipeline QuarantineGroupPipeline(Backend backend, size_t workers) {
+  PipelineOptions options;
+  options.seed = 12;
+  options.backend = backend;
+  options.threads = workers;
+  FaultSite site;
+  site.stage = "p2";
+  site.partition = 1;
+  site.fail_attempts = 100;
+  options.faults.sites.push_back(site);
+  Pipeline p("char-group", options);
+  p.Add("make", StageKind::kIngest, MakeExamples(8));
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.quarantine = true;
+  p.Add("p1", StageKind::kPreprocess, ExecutionHint::kRecordParallel,
+        NoteDraw("before"), Stir("p1_seen"), nullptr, ExamplesBy(2));
+  p.WithRetry(retry);
+  p.Add("p2", StageKind::kPreprocess, ExecutionHint::kRecordParallel, nullptr,
+        Stir("p2_seen"), NoteDraw("after"), ExamplesBy(2));
+  p.WithRetry(retry);
+  p.Add("tail", StageKind::kShard, Stir("tail_seen"));
+  return p;
+}
+
+TEST(ExecutorCharacterization, FusedGroupQuarantinesPartition) {
+  Pipeline p = QuarantineGroupPipeline(Backend::kThread, 2);
+  EXPECT_EQ(RunForFacts(p),
+            "make s=0 serial p=1/0 b=0->64 a=1 t=0 q=[] ov=0\n"
+            "p1 s=0 record_parallel p=4/4 b=64->128 a=4 t=0 q=[] ov=0\n"
+            "p2 s=0 record_parallel p=4/4 b=128->144 a=5 t=0 q=[1] ov=0\n"
+            "tail s=0 serial p=1/0 b=144->192 a=1 t=0 q=[] ov=0\n"
+            "ok=1 error=0 windows=0\n"
+            "quarantine p2 stage=2 part=1 slot=1/4[2,4) attempts=2 code=11 "
+            "units=2 slice=2\n"
+            "prov=4be313af66b7cabc data=0ea4ccef6ff9fe32\n");
+}
+
+TEST(ExecutorCharacterization, FusedGroupQuarantinesPartitionOnSpmd) {
+  Pipeline p = QuarantineGroupPipeline(Backend::kSpmd, 4);
+  EXPECT_EQ(RunForFacts(p),
+            "make s=0 serial p=1/0 b=0->64 a=1 t=0 q=[] ov=0\n"
+            "p1 s=0 record_parallel p=4/4 b=64->128 a=4 t=0 q=[] ov=0\n"
+            "p2 s=0 record_parallel p=4/4 b=128->144 a=5 t=0 q=[1] ov=0\n"
+            "tail s=0 serial p=1/0 b=144->192 a=1 t=0 q=[] ov=0\n"
+            "ok=1 error=0 windows=0\n"
+            "quarantine p2 stage=2 part=1 slot=1/4[2,4) attempts=2 code=11 "
+            "units=2 slice=2\n"
+            "prov=4be313af66b7cabc data=0ea4ccef6ff9fe32\n");
+}
+
+TEST(ExecutorCharacterization, SkippedRowsAfterGroupFailure) {
+  PipelineOptions options;
+  options.seed = 13;
+  options.threads = 2;
+  options.fail_fast = false;
+  Pipeline p("char-skip", options);
+  p.Add("make", StageKind::kIngest, MakeExamples(6));
+  p.Add("boom", StageKind::kTransform, ExecutionHint::kPartitionParallel,
+        [](DataBundle& bundle, StageContext& ctx) -> Status {
+          for (auto& ex : bundle.examples) {
+            ex.features["boom"] = NDArray::Full({1}, 1.0, DType::kF64);
+          }
+          return ctx.partition().index == 1 ? DataLoss("bad slice")
+                                            : Status::Ok();
+        },
+        ExamplesBy(2));
+  p.Add("later", StageKind::kStructure, Stir("later_seen"));
+  p.Add("last", StageKind::kShard, ExecutionHint::kRecordParallel,
+        Stir("last_seen"), ExamplesBy(3));
+  EXPECT_EQ(RunForFacts(p),
+            "make s=0 serial p=1/0 b=0->48 a=1 t=0 q=[] ov=0\n"
+            "boom s=5 partition_parallel p=3/3 b=48->96 a=3 t=0 q=[] ov=0\n"
+            "later s=6 serial p=1/0 b=0->0 a=0 t=0 q=[] ov=0\n"
+            "last s=6 record_parallel p=1/0 b=0->0 a=0 t=0 q=[] ov=0\n"
+            "ok=0 error=5 windows=0\n"
+            "prov=48eadb257ab0d181 data=00eeff2dbaf229e4\n");
+}
+
+Pipeline WindowPipeline(Backend backend, size_t workers) {
+  PipelineOptions options;
+  options.seed = 14;
+  options.backend = backend;
+  options.threads = workers;
+  FaultSite site;
+  site.stage = "down";
+  site.partition = 3;
+  site.fail_attempts = 1;
+  options.faults.sites.push_back(site);
+  Pipeline p("char-window", options);
+  p.Add("make", StageKind::kIngest, MakeExamples(16));
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  p.Add("up-a", StageKind::kPreprocess, ExecutionHint::kPartitionParallel,
+        NoteDraw("before"), Stir("up_a_seen"), nullptr, ExamplesBy(8));
+  p.WithRetry(retry);
+  p.Add("up-b", StageKind::kPreprocess, ExecutionHint::kPartitionParallel,
+        Stir("up_b_seen"), ExamplesBy(8));
+  p.WithRetry(retry);
+  p.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
+        nullptr, Stir("down_seen"), NoteDraw("after"), ExamplesBy(2));
+  p.WithRetry(retry);
+  p.WithOverlap(OverlapPolicy::kStream);
+  return p;
+}
+
+TEST(ExecutorCharacterization, TwoLevelWindowRetriesFault) {
+  Pipeline p = WindowPipeline(Backend::kThread, 3);
+  EXPECT_EQ(RunForFacts(p),
+            "make s=0 serial p=1/0 b=0->128 a=1 t=0 q=[] ov=0\n"
+            "up-a s=0 partition_parallel p=2/2 b=128->256 a=2 t=0 q=[] ov=1\n"
+            "up-b s=0 partition_parallel p=2/2 b=256->384 a=2 t=0 q=[] ov=1\n"
+            "down s=0 partition_parallel p=8/8 b=384->512 a=9 t=0 q=[] ov=1\n"
+            "ok=1 error=0 windows=1\n"
+            "prov=af44ea2ba0cece09 data=8bfdc4d1a5d293b6\n");
+}
+
+TEST(ExecutorCharacterization, TwoLevelWindowRetriesFaultOnSpmd) {
+  Pipeline p = WindowPipeline(Backend::kSpmd, 4);
+  EXPECT_EQ(RunForFacts(p),
+            "make s=0 serial p=1/0 b=0->128 a=1 t=0 q=[] ov=0\n"
+            "up-a s=0 partition_parallel p=2/2 b=128->256 a=2 t=0 q=[] ov=1\n"
+            "up-b s=0 partition_parallel p=2/2 b=256->384 a=2 t=0 q=[] ov=1\n"
+            "down s=0 partition_parallel p=8/8 b=384->512 a=9 t=0 q=[] ov=1\n"
+            "ok=1 error=0 windows=1\n"
+            "prov=af44ea2ba0cece09 data=8bfdc4d1a5d293b6\n");
 }
 
 }  // namespace
