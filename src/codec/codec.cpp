@@ -1,5 +1,6 @@
 #include "codec/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace drai::codec {
@@ -165,7 +166,9 @@ Bytes RleCompress(std::span<const std::byte> raw) {
 Result<Bytes> RleDecompress(std::span<const std::byte> packed,
                             size_t raw_size) {
   Bytes out;
-  out.reserve(raw_size);
+  // The header's claim is untrusted: cap the up-front reservation at the
+  // payload size and let legitimate runs grow the buffer.
+  out.reserve(std::min<size_t>(raw_size, packed.size()));
   ByteReader r(packed);
   while (!r.exhausted()) {
     uint64_t count = 0;

@@ -46,6 +46,9 @@ Result<Bytes> XorDecompressT(std::span<const std::byte> packed,
     return DataLoss("xor codec raw size not aligned");
   }
   const size_t n = raw_size / sizeof(WordT);
+  // Every word takes at least its header byte, so a header claiming more
+  // words than payload bytes is corrupt; reject it before allocating.
+  if (n > packed.size()) return DataLoss("xor codec raw size exceeds payload");
   Bytes out(raw_size);
   ByteReader r(packed);
   WordT prev = 0;

@@ -113,15 +113,8 @@ size_t FusedGroupEnd(const PipelinePlan& plan, size_t first) {
   return j;
 }
 
-namespace {
-
-/// Shorthand — the executor derives every stream through the exported
-/// DeriveStageRng so Resume's re-admission replay can reproduce them.
-Rng DeriveRng(uint64_t seed, uint64_t run, size_t stage, size_t slot) {
-  return DeriveStageRng(seed, run, stage, slot);
-}
-
-Status GuardedRun(Stage& stage, DataBundle& bundle, StageContext& ctx) {
+Status GuardedRun(Stage& stage, DataBundle& bundle, StageContext& ctx,
+                  std::string_view during) {
   try {
     Status status = stage.Run(bundle, ctx);
     // An injected fault fires only after a clean run, modeling a failure at
@@ -149,11 +142,15 @@ Status GuardedRun(Stage& stage, DataBundle& bundle, StageContext& ctx) {
     }
     return status;
   } catch (const std::exception& e) {
-    return Internal("stage '" + stage.name() + "' threw: " + e.what());
+    return Internal("stage '" + stage.name() + "' threw" +
+                    std::string(during) + ": " + e.what());
   } catch (...) {
-    return Internal("stage '" + stage.name() + "' threw a non-std exception");
+    return Internal("stage '" + stage.name() +
+                    "' threw a non-std exception" + std::string(during));
   }
 }
+
+namespace {
 
 /// Deterministic capped backoff between attempts. Wall-clock only; results
 /// never depend on it.
@@ -345,6 +342,117 @@ bool BoundaryStreams(const PipelinePlan& plan, size_t b) {
   return g_up > 0 && g_down > 0 && g_up % g_down == 0;
 }
 
+/// A fresh report row carrying the stage's identity.
+StageMetrics RowFor(const PlannedStage& planned) {
+  StageMetrics m;
+  m.name = planned.stage->name();
+  m.kind = planned.stage->kind();
+  m.hint = planned.hint;
+  return m;
+}
+
+/// One (stage, slot) cell of the run, as the attempt runner sees it.
+struct AttemptCell {
+  size_t stage = 0;  ///< absolute plan index
+  /// The partition the cell runs on; null for an unpartitioned serial
+  /// stage, whose Before and After hooks then run inside every attempt.
+  const PartitionSlot* part = nullptr;
+  uint64_t watch_key = 0;
+  /// A speculative backup copy: no soft threshold, no injected hang.
+  bool speculative = false;
+  /// Set once a racing copy committed the partition; the runner stops
+  /// retrying when it sees it.
+  const std::atomic<bool>* committed = nullptr;
+};
+
+/// The one attempt loop: runs a cell to its final outcome. Coordinates are
+/// the contract every pin rests on — a serial stage draws RNG slot 0 and is
+/// fault partition 0; partition q (slot.index q) draws slot q + 1 and is
+/// fault partition q, whether it runs in a barriered group or streams
+/// through a window. Every attempt gets a fresh StageContext on the same
+/// derived stream and restarts from a pristine snapshot, so a successful
+/// retry is byte-identical to a fault-free run.
+struct AttemptRunner {
+  const PipelinePlan& plan;
+  const ExecutorOptions& options;
+  const ExecutorRunScope& scope;
+  AttemptWatchdog* watchdog = nullptr;  ///< null: no deadline armed
+
+  /// Fills `r` with the final attempt's outcome. Returns the pristine
+  /// snapshot, which a quarantining caller stashes for re-admission.
+  std::optional<DataBundle> Run(const AttemptCell& cell, DataBundle& working,
+                                PartResult& r) const {
+    const PlannedStage& planned = plan.stages()[cell.stage];
+    Stage& stage = *planned.stage;
+    const RetryPolicy& retry = planned.retry;
+    const DeadlinePolicy& deadline =
+        EffectiveDeadlineOf(plan, options, cell.stage);
+    const bool serial = cell.part == nullptr;
+    const size_t index = serial ? 0 : cell.part->index;
+    // Serial stages never quarantine — dropping the entire bundle is not a
+    // degraded outcome — so only a retry needs their snapshot.
+    std::optional<DataBundle> snapshot;
+    if (retry.max_attempts > 1 || (retry.quarantine && !serial)) {
+      snapshot = working.Clone();
+    }
+    // No soft threshold for a serial stage (there is no pristine slice to
+    // race a second copy on) or for a backup (speculation does not beget
+    // speculation); the hard ceiling applies to every copy.
+    const double soft_ms = serial || cell.speculative ? 0.0 : deadline.soft_ms;
+    const bool watched =
+        watchdog != nullptr && (deadline.hard_ms > 0 || soft_ms > 0);
+    size_t attempt = 1;
+    WallTimer timer;
+    for (;;) {
+      StageContext ctx(DeriveStageRng(options.seed, scope.run_index,
+                                      cell.stage, serial ? 0 : index + 1),
+                       scope.provenance);
+      if (!serial) ctx.SetPartition(*cell.part);
+      ctx.SetAttempt(attempt);
+      ctx.SetSpeculative(cell.speculative);
+      if (options.faults.active()) {
+        ctx.SetInjectedFault(options.faults.Decide(
+            scope.run_index, stage.name(), cell.stage, index, attempt));
+      }
+      if (watched) {
+        watchdog->Track(cell.watch_key, ctx.cancel_token(), soft_ms,
+                        deadline.hard_ms,
+                        "stage '" + stage.name() + "'" +
+                            (serial ? "" : " partition " +
+                                               std::to_string(index)));
+      }
+      r.status = serial && stage.HasBeforeHook()
+                     ? stage.BeforePartition(working, ctx)
+                     : Status::Ok();
+      if (r.status.ok()) r.status = GuardedRun(stage, working, ctx);
+      if (r.status.ok() && serial && stage.HasAfterHook()) {
+        r.status = stage.AfterMerge(working, ctx);
+      }
+      if (watched) watchdog->Release(cell.watch_key);
+      r.params = ctx.params();
+      r.counts = ctx.counts();
+      r.partials = ctx.TakePartials();
+      if (r.status.code() == StatusCode::kDeadlineExceeded) ++r.timeouts;
+      if (r.status.ok() || attempt >= retry.max_attempts ||
+          !retry.ShouldRetry(r.status)) {
+        break;
+      }
+      if (cell.committed != nullptr &&
+          cell.committed->load(std::memory_order_acquire)) {
+        break;  // the racing copy already won; don't burn retries
+      }
+      ++attempt;
+      BackoffSleep(retry, attempt);
+      working = snapshot->Clone();
+    }
+    r.seconds = timer.Seconds();
+    r.bytes_after = working.ApproxBytes();
+    r.ran = true;
+    r.attempts = attempt;
+    return snapshot;
+  }
+};
+
 }  // namespace
 
 std::vector<OverlapWindow> ComputeOverlapWindows(
@@ -415,23 +523,20 @@ PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
   while (i < stages.size()) {
     // Fuse maximal runs of parallel stages (either parallel hint) with
     // identical specs and no hooks at interior boundaries: split once, run
-    // the chain per partition, merge once. Fusion is independent of
-    // fail_fast — the error-reporting knob must not change which bundle
-    // states stages observe. A legal overlap window starting here takes
-    // over several groups at once and streams between them.
-    const OverlapWindow* window = nullptr;
+    // the chain per partition, merge once — a one-level window. Fusion is
+    // independent of fail_fast — the error-reporting knob must not change
+    // which bundle states stages observe. A legal overlap window starting
+    // here takes over several groups at once and streams between them.
+    OverlapWindow group{i, FusedGroupEnd(plan, i), {i}};
+    const OverlapWindow* window = &group;
     for (const OverlapWindow& w : windows) {
-      if (w.first == i) {
-        window = &w;
-        break;
-      }
+      if (w.first == i) window = &w;
     }
-    const size_t j = window != nullptr ? window->last : FusedGroupEnd(plan, i);
     const size_t already = report.stages.size();
-    if (window != nullptr) {
-      RunWindow(plan, *window, bundle, scope, report);
+    if (stages[i].hint == ExecutionHint::kSerial) {
+      RunSerial(plan, i, bundle, scope, report);
     } else {
-      RunGroup(plan, i, j, bundle, scope, report);
+      RunWindow(plan, *window, bundle, scope, report);
     }
     bool failed = false;
     for (size_t s = already; s < report.stages.size(); ++s) {
@@ -451,10 +556,7 @@ PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
       if (!options_.fail_fast) {
         for (size_t k = scope.start_stage + report.stages.size();
              k < stages.size(); ++k) {
-          StageMetrics m;
-          m.name = stages[k].stage->name();
-          m.kind = stages[k].stage->kind();
-          m.hint = stages[k].hint;
+          StageMetrics m = RowFor(stages[k]);
           m.status =
               FailedPrecondition("skipped: an upstream stage failed (" +
                                  report.error.ToString() + ")");
@@ -463,7 +565,7 @@ PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
       }
       break;
     }
-    i = j;
+    i = window->last;
     if (scope.checkpoint != nullptr) {
       PipelineCheckpoint cp;
       cp.pipeline = scope.pipeline_name;
@@ -493,95 +595,56 @@ PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
   return report;
 }
 
-void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
-                                size_t last, DataBundle& bundle,
-                                const ExecutorRunScope& scope,
-                                PipelineReport& report) {
-  const auto& stages = plan.stages();
-  const PlannedStage& head = stages[first];
-  // Effective deadline: the stage's own policy, or the executor-wide
-  // default for stages that never declared one (the watchdog safety net).
-  auto effective_deadline = [&](size_t abs) -> const DeadlinePolicy& {
-    return stages[abs].deadline.active() ? stages[abs].deadline
-                                         : options_.default_deadline;
-  };
+void ParallelExecutor::RunSerial(const PipelinePlan& plan, size_t abs,
+                                 DataBundle& bundle,
+                                 const ExecutorRunScope& scope,
+                                 PipelineReport& report) {
+  StageMetrics m = RowFor(plan.stages()[abs]);
+  m.bundle_bytes_before = bundle.ApproxBytes();
+  const DeadlinePolicy& deadline = EffectiveDeadlineOf(plan, options_, abs);
+  std::unique_ptr<AttemptWatchdog> watchdog;
+  if (deadline.hard_ms > 0) {
+    watchdog =
+        std::make_unique<AttemptWatchdog>(WatchdogPollMs(deadline.hard_ms));
+  }
+  PartResult r;
+  AttemptRunner{plan, options_, scope, watchdog.get()}.Run({abs}, bundle, r);
+  m.status = r.status;
+  m.seconds = r.seconds;
+  m.bundle_bytes_after = r.bytes_after;
+  m.attempts = r.attempts;
+  m.timeouts = r.timeouts;
+  // Retry counts live in StageMetrics only, never in provenance: a
+  // successfully retried run must hash byte-identically to a fault-free
+  // run, and shard manifests embed the provenance hash.
+  RecordStage(scope, m, MergedParams(r.params, r.counts));
+  report.stages.push_back(std::move(m));
+}
 
-  // ---- Serial stage: hooks + Run inline on the calling thread. ----------
-  if (head.hint == ExecutionHint::kSerial) {
-    StageMetrics m;
-    m.name = head.stage->name();
-    m.kind = head.stage->kind();
-    m.hint = ExecutionHint::kSerial;
-    m.bundle_bytes_before = bundle.ApproxBytes();
-    StageContext ctx(Rng(0), scope.provenance);
-    // Retry re-runs the whole stage (hooks included) against a pristine
-    // bundle snapshot with the *same* derived RNG, so a successful retry is
-    // byte-identical to a fault-free run. Serial stages never quarantine —
-    // dropping the entire bundle is not a degraded outcome.
-    const RetryPolicy& retry = head.retry;
-    // Hard deadlines cover serial stages too; soft ones do not — there is
-    // no pristine slice to race a second copy on while the only copy runs.
-    const DeadlinePolicy& deadline = effective_deadline(first);
-    std::unique_ptr<AttemptWatchdog> watchdog;
-    if (deadline.hard_ms > 0) {
-      watchdog = std::make_unique<AttemptWatchdog>(
-          WatchdogPollMs(deadline.hard_ms));
-    }
-    std::optional<DataBundle> snapshot;
-    if (retry.max_attempts > 1) snapshot = bundle.Clone();
-    size_t attempt = 1;
-    WallTimer timer;
-    for (;;) {
-      // Reset (not just construct) so the no-leak-across-stages contract is
-      // exercised on every path.
-      ctx.Reset(DeriveRng(options_.seed, scope.run_index, first, 0));
-      ctx.SetAttempt(attempt);
-      if (options_.faults.active()) {
-        ctx.SetInjectedFault(options_.faults.Decide(scope.run_index, m.name,
-                                                    first, 0, attempt));
-      }
-      if (watchdog) {
-        watchdog->Track(0, ctx.cancel_token(), /*soft_ms=*/0.0,
-                        deadline.hard_ms, "stage '" + m.name + "'");
-      }
-      m.status = head.stage->HasBeforeHook()
-                     ? head.stage->BeforePartition(bundle, ctx)
-                     : Status::Ok();
-      if (m.status.ok()) m.status = GuardedRun(*head.stage, bundle, ctx);
-      if (m.status.ok() && head.stage->HasAfterHook()) {
-        m.status = head.stage->AfterMerge(bundle, ctx);
-      }
-      if (watchdog) watchdog->Release(0);
-      if (m.status.code() == StatusCode::kDeadlineExceeded) ++m.timeouts;
-      if (m.status.ok() || attempt >= retry.max_attempts ||
-          !retry.ShouldRetry(m.status)) {
-        break;
-      }
-      ++attempt;
-      BackoffSleep(retry, attempt);
-      bundle = snapshot->Clone();
-    }
-    m.attempts = attempt;
-    m.seconds = timer.Seconds();
-    m.bundle_bytes_after = bundle.ApproxBytes();
-    auto params = MergedParams(ctx.params(), ctx.counts());
-    // Retry counts live in StageMetrics only, never in provenance: a
-    // successfully retried run must hash byte-identically to a fault-free
-    // run, and shard manifests embed the provenance hash.
-    RecordStage(scope, m, params);
-    report.stages.push_back(std::move(m));
-    return;
+void ParallelExecutor::RunWindow(const PipelinePlan& plan,
+                                 const OverlapWindow& window,
+                                 DataBundle& bundle,
+                                 const ExecutorRunScope& scope,
+                                 PipelineReport& report) {
+  const auto& stages = plan.stages();
+  const size_t first = window.first;
+  const size_t last = window.last;
+  const size_t n_stages = last - first;
+  const size_t n_levels = window.group_starts.size();
+  const bool streaming = n_levels > 1;
+  const PlannedStage& head = stages[first];
+  WallTimer window_timer;
+
+  // Level bounds: level g runs stages [l_first[g], l_last[g]).
+  const std::vector<size_t>& l_first = window.group_starts;
+  std::vector<size_t> l_last(n_levels);
+  for (size_t g = 0; g < n_levels; ++g) {
+    l_last[g] = g + 1 < n_levels ? l_first[g + 1] : last;
   }
 
-  // ---- Parallel group [first, last): before -> split -> map -> merge ->
-  // after. -----------------------------------------------------------------
-  const size_t n_stages = last - first;
-  const ParallelSpec& spec = head.parallel;
-  std::vector<StageMetrics> metrics(n_stages);
-  for (size_t s = 0; s < n_stages; ++s) {
-    metrics[s].name = stages[first + s].stage->name();
-    metrics[s].kind = stages[first + s].stage->kind();
-    metrics[s].hint = stages[first + s].hint;
+  std::vector<StageMetrics> metrics;
+  for (size_t abs = first; abs < last; ++abs) {
+    metrics.push_back(RowFor(stages[abs]));
   }
   metrics[0].bundle_bytes_before = bundle.ApproxBytes();
 
@@ -593,24 +656,17 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
     for (const auto& [k, v] : hook_ctx.counts()) stage_counts[s][k] += v;
   };
 
+  // ---- Prologue: Before hook, then the head split. ----------------------
   WallTimer head_timer;
   Status before_status;
   if (head.stage->HasBeforeHook()) {
-    hook_ctx.Reset(DeriveRng(options_.seed, scope.run_index, first, 0));
+    hook_ctx.Reset(DeriveStageRng(options_.seed, scope.run_index, first, 0));
     before_status = head.stage->BeforePartition(bundle, hook_ctx);
     harvest(0);
   }
-  if (!before_status.ok()) {
-    metrics[0].status = before_status;
-    metrics[0].seconds = head_timer.Seconds();
-    metrics[0].bundle_bytes_after = bundle.ApproxBytes();
-    RecordStage(scope, metrics[0],
-                MergedParams(stage_params[0], stage_counts[0]));
-    report.stages.push_back(std::move(metrics[0]));
-    return;
-  }
-
-  auto split = BundlePartitioner::Split(bundle, spec);
+  auto split = before_status.ok()
+                   ? BundlePartitioner::Split(bundle, head.parallel)
+                   : Result<std::vector<BundlePartition>>(before_status);
   if (!split.ok()) {
     metrics[0].status = split.status();
     metrics[0].seconds = head_timer.Seconds();
@@ -620,32 +676,64 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
     report.stages.push_back(std::move(metrics[0]));
     return;
   }
-  std::vector<BundlePartition> parts = std::move(split).value();
-  const size_t n_parts = parts.size();
-  const uint64_t leftover_bytes = bundle.ApproxBytes();
-  std::vector<uint64_t> part_bytes0(n_parts);
-  for (size_t p = 0; p < n_parts; ++p) {
-    part_bytes0[p] = parts[p].bundle.ApproxBytes();
-  }
+  // parts[g][q] is partition q of level g. Every item runs in place in its
+  // cell: a final-level cell ends as the slice the merge takes, an interior
+  // cell keeps whatever its re-split left behind (the residual).
+  std::vector<std::vector<BundlePartition>> parts(n_levels);
+  parts[0] = std::move(split).value();
+  const size_t n_roots = parts[0].size();
+  const size_t n_units = parts[0].back().slot.hi;
+  const uint64_t leftover0 = bundle.ApproxBytes();
+  // Streaming cannot reproduce the merge's attr-overlay (one partition's
+  // attr write would have to reach *every* downstream partition), so window
+  // stages must leave attrs untouched; the re-split enforces it.
+  const auto entry_attrs = bundle.attrs;
   const double before_split_seconds = head_timer.Seconds();
+  if (streaming) ++report.overlap_windows;
 
-  std::vector<std::vector<PartResult>> results(
-      n_stages, std::vector<PartResult>(n_parts));
+  // Per-level geometry. Every level partitions the same `n_units` units
+  // (the contract the re-split enforces per slice), so downstream partition
+  // counts are known before anything streams — exactly what a barriered
+  // run would have computed from the merged bundle. Counts never shrink
+  // along a window: each upstream grain is a multiple of the next.
+  // Per-item entry bytes and residual bytes feed the byte accounting.
+  std::vector<size_t> grain(n_levels), nparts(n_levels);
+  std::vector<std::vector<PartResult>> results(n_stages);
+  std::vector<std::vector<uint64_t>> level_bytes0(n_levels);
+  std::vector<std::vector<uint64_t>> residual_bytes(n_levels);
+  for (size_t g = 0; g < n_levels; ++g) {
+    grain[g] = EffectiveGrain(stages[l_first[g]].parallel);
+    nparts[g] = g == 0 ? n_roots : (n_units + grain[g] - 1) / grain[g];
+    nparts[g] = std::max<size_t>(1, nparts[g]);
+    parts[g].resize(nparts[g]);
+    for (size_t abs = l_first[g]; abs < l_last[g]; ++abs) {
+      results[abs - first].resize(nparts[g]);
+    }
+    level_bytes0[g].resize(nparts[g], 0);
+    residual_bytes[g].resize(nparts[g], 0);
+  }
+  for (size_t p = 0; p < n_roots; ++p) {
+    level_bytes0[0][p] = parts[0][p].bundle.ApproxBytes();
+  }
+
   std::atomic<bool> abort{false};
   const bool fail_fast = options_.fail_fast;
 
-  // Deadline posture for the fused group. Any armed soft deadline switches
-  // the whole group to speculation mode (Mode B below): partitions run on
-  // working copies and publish through a commit protocol, so a backup copy
-  // can race its straggling primary from the same pristine slice.
+  // Deadline posture. Any armed soft deadline switches the group to
+  // speculation: partitions run on working copies and publish through
+  // commit cells, so a backup copy can race its straggling primary from
+  // the same pristine slice. The planner keeps soft deadlines (and
+  // quarantine) out of windows, so both only ever meet a one-level group.
   std::vector<const DeadlinePolicy*> policies(n_stages);
   bool any_hard = false;
   bool any_soft = false;
+  bool any_quarantine = false;
   double collective_ms = 0;
   for (size_t s = 0; s < n_stages; ++s) {
-    policies[s] = &effective_deadline(first + s);
+    policies[s] = &EffectiveDeadlineOf(plan, options_, first + s);
     any_hard |= policies[s]->hard_ms > 0;
     any_soft |= policies[s]->soft_ms > 0;
+    any_quarantine |= stages[first + s].retry.quarantine;
     collective_ms = std::max(collective_ms, policies[s]->collective_ms);
   }
   const bool speculate = any_soft;
@@ -653,14 +741,13 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
 
   // Quarantined partitions stash the pristine slice the failing stage first
   // saw, so the checkpoint can persist it for later re-admission. Written
-  // by the owning worker (single writer per index in Mode A, under the cell
-  // mutex in Mode B), read by the scheduler after the map completes; the
-  // direct write relies on ranks being in-process threads.
-  std::vector<std::optional<DataBundle>> q_slices(n_parts);
+  // by the owning worker (or under the commit-cell mutex), read after the
+  // map; the direct write relies on ranks being in-process threads.
+  std::vector<std::optional<DataBundle>> q_slices(nparts.back());
 
-  // Per-partition commit cell (Mode B only). The first copy — primary or
-  // speculative backup — to lock the cell and find it uncommitted owns the
-  // partition's outcome: it moves its results, working bundle, and
+  // Per-partition commit cell (speculation only). The first copy — primary
+  // or speculative backup — to lock the cell and find it uncommitted owns
+  // the partition's outcome: it moves its results, working bundle, and
   // quarantine stash into place under `mu`, so every later reader orders
   // through the same mutex (or through the spec-thread join).
   struct Cell {
@@ -671,121 +758,171 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
     bool spec_done = false;
     bool spec_won = false;
   };
-  std::vector<Cell> cells(speculate ? n_parts : 0);
+  std::vector<Cell> cells(speculate ? n_roots : 0);
 
   std::unique_ptr<AttemptWatchdog> watchdog;
+  AttemptRunner runner{plan, options_, scope};
   std::mutex spec_mu;
   std::vector<std::thread> spec_threads;
   std::atomic<uint64_t> spec_launches{0};
 
-  // Run the group's stage chain for one copy of partition `p`, writing
+  // Run level `level`'s stage chain for one copy of item q, writing
   // outcomes into `row` and mutating `working` in place. `q_slice` receives
   // the pristine stage-entry slice when the chain ends in quarantine.
-  // Returns early once the partition's outcome was committed by the racing
-  // copy — remaining work would be discarded anyway.
-  auto run_chain = [&](size_t p, bool speculative, DataBundle& working,
-                       std::vector<PartResult>& row,
+  // Returns true iff every stage ran and succeeded; stops early once the
+  // run aborted or the racing copy committed.
+  auto run_chain = [&](size_t level, size_t q, bool speculative,
+                       DataBundle& working, std::vector<PartResult>& row,
                        std::optional<DataBundle>& q_slice) {
-    for (size_t s = 0; s < n_stages; ++s) {
-      if (fail_fast && abort.load(std::memory_order_relaxed)) return;
-      if (speculate && cells[p].committed.load(std::memory_order_acquire)) {
-        return;
+    for (size_t abs = l_first[level]; abs < l_last[level]; ++abs) {
+      if (fail_fast && abort.load(std::memory_order_relaxed)) return false;
+      if (speculate && cells[q].committed.load(std::memory_order_acquire)) {
+        return false;
       }
-      const PlannedStage& planned = stages[first + s];
-      const RetryPolicy& retry = planned.retry;
-      const DeadlinePolicy& deadline = *policies[s];
-      PartResult& r = row[s];
-      // Pristine-slice snapshot for retry (and for the quarantine stash):
-      // a failure may leave the slice half-mutated, so each re-run starts
-      // from the state this stage first saw. Same derived RNG each attempt
-      // — a successful retry is byte-identical to a fault-free run.
-      std::optional<DataBundle> snapshot;
-      if (retry.max_attempts > 1 || retry.quarantine) {
-        snapshot = working.Clone();
+      AttemptCell cell;
+      cell.stage = abs;
+      cell.part = &parts[level][q].slot;
+      cell.watch_key = (static_cast<uint64_t>(level) << 32 | q) |
+                       (speculative ? kSpecKeyBit : 0);
+      cell.speculative = speculative;
+      if (speculate) cell.committed = &cells[q].committed;
+      PartResult& r = row[abs - l_first[level]];
+      std::optional<DataBundle> pristine = runner.Run(cell, working, r);
+      if (r.status.ok()) continue;
+      if (stages[abs].retry.quarantine) {
+        // Degrade instead of failing the run: this slice's records will
+        // be dropped from the merge; the other partitions keep going.
+        r.quarantined = true;
+        q_slice = std::move(pristine);
+      } else if (fail_fast && !speculate) {
+        abort.store(true, std::memory_order_relaxed);
       }
-      size_t attempt = 1;
-      WallTimer t;
-      for (;;) {
-        StageContext ctx(
-            DeriveRng(options_.seed, scope.run_index, first + s, p + 1),
-            scope.provenance);
-        ctx.SetPartition(parts[p].slot);
-        ctx.SetAttempt(attempt);
-        ctx.SetSpeculative(speculative);
-        if (options_.faults.active()) {
-          ctx.SetInjectedFault(options_.faults.Decide(
-              scope.run_index, planned.stage->name(), first + s, p, attempt));
-        }
-        // Backups never get a soft threshold — speculation does not beget
-        // speculation — but keep the hard ceiling, so a backup that hangs
-        // the same way its primary did is also cancelled.
-        const uint64_t key = speculative ? (kSpecKeyBit | p) : p;
-        const bool watched =
-            watchdog && (deadline.hard_ms > 0 ||
-                         (!speculative && deadline.soft_ms > 0));
-        if (watched) {
-          watchdog->Track(key, ctx.cancel_token(),
-                          speculative ? 0.0 : deadline.soft_ms,
-                          deadline.hard_ms,
-                          "stage '" + planned.stage->name() + "' partition " +
-                              std::to_string(p));
-        }
-        r.status = GuardedRun(*planned.stage, working, ctx);
-        if (watched) watchdog->Release(key);
-        r.params = ctx.params();
-        r.counts = ctx.counts();
-        r.partials = ctx.TakePartials();
-        if (r.status.code() == StatusCode::kDeadlineExceeded) ++r.timeouts;
-        if (r.status.ok() || attempt >= retry.max_attempts ||
-            !retry.ShouldRetry(r.status)) {
-          break;
-        }
-        if (speculate && cells[p].committed.load(std::memory_order_acquire)) {
-          break;  // the racing copy already won; don't burn retries
-        }
-        ++attempt;
-        BackoffSleep(retry, attempt);
-        working = snapshot->Clone();
-      }
-      r.seconds = t.Seconds();
-      r.bytes_after = working.ApproxBytes();
-      r.ran = true;
-      r.attempts = attempt;
-      if (!r.status.ok()) {
-        if (retry.quarantine) {
-          // Degrade instead of failing the run: this slice's records will
-          // be dropped from the merge; the other partitions keep going.
-          r.quarantined = true;
-          q_slice = std::move(snapshot);
-          return;
-        }
-        if (fail_fast && !speculate) {
-          abort.store(true, std::memory_order_relaxed);
-        }
-        return;  // this partition stops; its slice merges back untouched
-      }
+      return false;  // this item stops; its slice merges back as it is
     }
+    return true;
   };
 
-  // Mode B commit: first copy to claim the uncommitted cell wins the
-  // partition; the racing copy is cancelled and its work discarded. Backups
-  // only ever commit a fully successful chain — a failed backup must not
-  // mask a primary that might still succeed — while a primary commits
-  // whatever its final outcome is (after waiting out a live backup).
-  auto try_commit = [&](size_t p, bool speculative,
-                        std::vector<PartResult>& row, DataBundle& working,
-                        std::optional<DataBundle>& q_slice) {
-    if (speculative) {
-      for (size_t s = 0; s < n_stages; ++s) {
-        if (!row[s].ran || !row[s].status.ok()) return false;
+  // ---- Streaming re-split (windows only). Commit an upstream item by
+  // re-splitting its slice at the downstream grain into whole global
+  // downstream partitions. The slot arithmetic works because upstream
+  // partition boundaries are multiples of the upstream grain, which is a
+  // multiple of the downstream grain (the planner's divisibility rule), so
+  // child q of the window equals child q of the barriered run — same slot,
+  // same RNG stream, same fault cell. The upstream cell keeps the residual.
+  auto resplit = [&](size_t level, size_t q,
+                     std::vector<size_t>& children) -> Status {
+    DataBundle& up = parts[level][q].bundle;
+    const PartitionSlot& slot = parts[level][q].slot;
+    const size_t next = level + 1;
+    const ParallelSpec& spec = stages[l_first[next]].parallel;
+    const std::string& tail_name = stages[l_last[level] - 1].stage->name();
+    if (up.attrs != entry_attrs) {
+      return FailedPrecondition(
+          "stage '" + tail_name + "' modified bundle attrs inside an overlap "
+          "window; attr writes need the merge barrier — mark this boundary "
+          "OverlapPolicy::kBarrier");
+    }
+    const size_t expect = slot.hi - slot.lo;
+    std::vector<BundlePartition> sub;
+    if (spec.axis == PartitionAxis::kRange) {
+      // Range children carry no content — just attrs plus their slot, like
+      // the barriered split; producer-written content rides the residual.
+      sub.resize((expect + grain[next] - 1) / grain[next]);
+      for (BundlePartition& c : sub) c.bundle.attrs = up.attrs;
+    } else {
+      auto counted = BundlePartitioner::CountUnits(up, spec.axis, spec);
+      if (!counted.ok()) return counted.status();
+      if (counted.value() != expect) {
+        return FailedPrecondition(
+            "stage '" + tail_name + "' changed its partition's unit count (" +
+            std::to_string(expect) + " -> " +
+            std::to_string(counted.value()) + ") inside an overlap window; "
+            "streamed stages must preserve unit counts — mark this boundary "
+            "OverlapPolicy::kBarrier");
+      }
+      auto local = BundlePartitioner::Split(up, spec);
+      if (!local.ok()) return local.status();
+      sub = std::move(local).value();
+    }
+    const size_t base_q = slot.lo / grain[next];
+    for (size_t c = 0; c < sub.size(); ++c) {
+      const size_t cq = base_q + c;
+      BundlePartition& child = parts[next][cq];
+      child.bundle = std::move(sub[c].bundle);
+      child.slot = {cq, nparts[next], std::min(n_units, cq * grain[next]),
+                    std::min(n_units, (cq + 1) * grain[next])};
+      level_bytes0[next][cq] = child.bundle.ApproxBytes();
+      children.push_back(cq);
+    }
+    residual_bytes[level][q] = up.ApproxBytes();
+    return Status::Ok();
+  };
+
+  // Process item (level, q) to completion: run its chain in place, then
+  // re-split and hand the children on — preferably through the channel
+  // (another crew worker picks them up), inline otherwise. `outstanding`
+  // counts unfinished items; children are counted before their parent
+  // retires, so the count can only reach zero when the whole cascade is
+  // done — that closes the channel and releases the crew.
+  struct WindowItem {
+    size_t level = 0;
+    size_t q = 0;
+  };
+  PartitionChannel<WindowItem>* chan_ptr = nullptr;
+  std::atomic<size_t> outstanding{0};
+  std::function<void(size_t, size_t)> process = [&](size_t level, size_t q) {
+    std::vector<PartResult> row(l_last[level] - l_first[level]);
+    std::optional<DataBundle> q_slice;
+    std::vector<size_t> children;
+    if (run_chain(level, q, false, parts[level][q].bundle, row, q_slice) &&
+        level + 1 < n_levels) {
+      if (Status st = resplit(level, q, children); !st.ok()) {
+        // A streaming-contract violation surfaces on the level's last
+        // stage — the stage whose output could not be re-split.
+        row.back().status = st;
+        if (fail_fast) abort.store(true, std::memory_order_relaxed);
+        children.clear();
       }
     }
+    for (size_t i = 0; i < row.size(); ++i) {
+      results[l_first[level] - first + i][q] = std::move(row[i]);
+    }
+    if (q_slice.has_value()) q_slices[q] = std::move(q_slice);
+    std::vector<size_t> inline_children;
+    if (chan_ptr != nullptr) {
+      outstanding.fetch_add(children.size(), std::memory_order_acq_rel);
+      for (size_t c : children) {
+        // Pushes never block — a full channel means the producer runs the
+        // child itself — which keeps the crew deadlock-free at any size.
+        if (!chan_ptr->TryPush(WindowItem{level + 1, c})) {
+          inline_children.push_back(c);
+        }
+      }
+      if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        chan_ptr->Close();
+      }
+    } else {
+      inline_children = std::move(children);
+    }
+    for (size_t c : inline_children) process(level + 1, c);
+  };
+
+  // ---- Speculation's commit cells. The first copy to claim the
+  // uncommitted cell wins the partition; the racing copy is cancelled and
+  // its work discarded. Backups only ever commit a fully successful chain —
+  // a failed backup must not mask a primary that might still succeed —
+  // while a primary commits whatever its final outcome is (after waiting
+  // out a live backup).
+  auto try_commit = [&](size_t p, bool speculative, bool chain_ok,
+                        std::vector<PartResult>& row, DataBundle& working,
+                        std::optional<DataBundle>& q_slice) {
+    if (speculative && !chain_ok) return false;
     Cell& cell = cells[p];
     {
       std::lock_guard<std::mutex> lock(cell.mu);
       if (cell.committed.load(std::memory_order_relaxed)) return false;
       for (size_t s = 0; s < n_stages; ++s) results[s][p] = std::move(row[s]);
-      parts[p].bundle = std::move(working);
+      parts[0][p].bundle = std::move(working);
       q_slices[p] = std::move(q_slice);
       cell.spec_won = speculative;
       cell.committed.store(true, std::memory_order_release);
@@ -800,37 +937,45 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
     return true;
   };
 
-  // Speculative backup body, run on a dedicated thread: copy the pristine
-  // group-entry slice (untouched until someone commits) and race the
-  // primary through the same chain with the same RNG streams — a backup
-  // win is byte-identical to a primary win.
-  auto spec_body = [&](size_t p) {
+  // One copy of partition p: clone the pristine group-entry slice (left
+  // untouched until someone commits) and run the chain with the same RNG
+  // streams — a backup win is byte-identical to a primary win.
+  auto run_copy = [&](size_t p, bool speculative) {
     Cell& cell = cells[p];
-    {
-      std::vector<PartResult> row(n_stages);
-      std::optional<DataBundle> q_slice;
-      DataBundle working;
-      bool live = false;
-      {
-        std::lock_guard<std::mutex> lock(cell.mu);
-        if (!cell.committed.load(std::memory_order_relaxed)) {
-          working = parts[p].bundle.Clone();
-          live = true;
-        }
-      }
-      if (live) {
-        run_chain(p, true, working, row, q_slice);
-        try_commit(p, true, row, working, q_slice);
-      }
-    }
+    std::vector<PartResult> row(n_stages);
+    std::optional<DataBundle> q_slice;
+    DataBundle working;
     {
       std::lock_guard<std::mutex> lock(cell.mu);
-      cell.spec_done = true;
+      if (cell.committed.load(std::memory_order_relaxed)) return;
+      working = parts[0][p].bundle.Clone();
     }
-    cell.cv.notify_all();
+    const bool chain_ok = run_chain(0, p, speculative, working, row, q_slice);
+    if (!speculative && !chain_ok) {
+      // A still-running backup may yet rescue this partition: wait for it
+      // to resolve before committing a failure. Bounded by the backup's own
+      // hard deadline and fault schedule — arm hard_ms alongside soft_ms.
+      std::unique_lock<std::mutex> lock(cell.mu);
+      cell.cv.wait(lock, [&] {
+        return !cell.spec_launched || cell.spec_done ||
+               cell.committed.load(std::memory_order_relaxed);
+      });
+    }
+    if (try_commit(p, speculative, chain_ok, row, working, q_slice) &&
+        !speculative && fail_fast) {
+      // Failure is now the partition's final outcome (no backup rescued
+      // it); honor fail-fast the same way the unspeculated path does.
+      for (size_t s = 0; s < n_stages; ++s) {
+        const PartResult& r = results[s][p];
+        if (r.ran && !r.status.ok() && !r.quarantined) {
+          abort.store(true, std::memory_order_relaxed);
+        }
+      }
+    }
   };
 
-  // Watchdog straggler callback: launch at most one backup per partition.
+  // Watchdog straggler callback: launch at most one backup per partition,
+  // on a dedicated thread.
   auto launch_spec = [&](uint64_t key) {
     const size_t p = static_cast<size_t>(key);
     Cell& cell = cells[p];
@@ -844,72 +989,57 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
     }
     spec_launches.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(spec_mu);
-    spec_threads.emplace_back(spec_body, p);
+    spec_threads.emplace_back([&, p] {
+      run_copy(p, true);
+      {
+        std::lock_guard<std::mutex> cell_lock(cells[p].mu);
+        cells[p].spec_done = true;
+      }
+      cells[p].cv.notify_all();
+    });
   };
 
   if (any_hard || speculate) {
     watchdog = std::make_unique<AttemptWatchdog>(
         WatchdogPollMs(MinArmedLimitMs(policies)),
         speculate ? AttemptWatchdog::StragglerFn(launch_spec) : nullptr);
+    runner.watchdog = watchdog.get();
   }
 
+  // ---- Dispatch. A multi-level window on a backend that takes dynamic
+  // tasks runs as a work crew: the channel is seeded with the roots and
+  // `crew` backend slots drain it, and committed children re-enter the
+  // same channel. Everything else is static per root: the worker (or rank)
+  // that owns root p runs p's entire downstream cone depth-first, and a
+  // distributed backend gathers once per window, not once per level.
   PartitionTask task;
-  task.n_parts = n_parts;
   task.collective_timeout_ms = collective_ms;
-  task.run = [&](size_t p) {
-    std::vector<PartResult> row(n_stages);
-    std::optional<DataBundle> q_slice;
-    if (!speculate) {
-      // Mode A: single copy per partition, results land directly.
-      run_chain(p, false, parts[p].bundle, row, q_slice);
-      for (size_t s = 0; s < n_stages; ++s) results[s][p] = std::move(row[s]);
-      q_slices[p] = std::move(q_slice);
-      return;
+  std::optional<PartitionChannel<WindowItem>> chan;
+  if (streaming && backend_->dynamic_tasks()) {
+    const size_t max_parts = *std::max_element(nparts.begin(), nparts.end());
+    const size_t crew =
+        std::max<size_t>(1, std::min(backend_->concurrency(), max_parts));
+    chan.emplace(n_roots + 2 * crew);
+    chan_ptr = &*chan;
+    outstanding.store(n_roots, std::memory_order_relaxed);
+    for (size_t p = 0; p < n_roots; ++p) {
+      chan->TryPush(WindowItem{0, p});  // capacity >= n_roots: cannot fail
     }
-    // Mode B: run on a working copy so parts[p].bundle stays pristine for
-    // a backup launch; publish through the commit cell.
-    Cell& cell = cells[p];
-    DataBundle working;
-    {
-      std::lock_guard<std::mutex> lock(cell.mu);
-      working = parts[p].bundle.Clone();
-    }
-    run_chain(p, false, working, row, q_slice);
-    bool chain_ok = true;
-    for (size_t s = 0; s < n_stages; ++s) {
-      if (!row[s].ran || !row[s].status.ok()) {
-        chain_ok = false;
-        break;
+    task.n_parts = crew;
+    task.run = [&](size_t) {
+      while (auto item = chan_ptr->Pop()) process(item->level, item->q);
+    };
+  } else {
+    task.n_parts = n_roots;
+    task.run = [&](size_t p) {
+      if (speculate) {
+        run_copy(p, false);
+      } else {
+        process(0, p);
       }
-    }
-    if (!chain_ok) {
-      // A still-running backup may yet rescue this partition: wait for it
-      // to resolve before committing a failure. Bounded by the backup's own
-      // hard deadline and fault schedule — arm hard_ms alongside soft_ms.
-      std::unique_lock<std::mutex> lock(cell.mu);
-      cell.cv.wait(lock, [&] {
-        return !cell.spec_launched || cell.spec_done ||
-               cell.committed.load(std::memory_order_relaxed);
-      });
-    }
-    if (try_commit(p, false, row, working, q_slice)) {
-      // Failure is now the partition's final outcome (no backup rescued
-      // it); honor fail-fast the same way Mode A does.
-      bool failed_hard = false;
-      for (size_t s = 0; s < n_stages; ++s) {
-        const PartResult& r = results[s][p];
-        if (r.ran && !r.status.ok() && !r.quarantined) failed_hard = true;
-      }
-      if (failed_hard && fail_fast) {
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  bool any_quarantine_policy = false;
-  for (size_t s = 0; s < n_stages; ++s) {
-    if (stages[first + s].retry.quarantine) any_quarantine_policy = true;
+    };
   }
-  if (any_quarantine_policy) {
+  if (any_quarantine) {
     // Lets a distributed backend reach cross-rank agreement on the dropped
     // set (par::AgreeQuarantine) before the scheduler merges.
     task.quarantined = [&](size_t p) {
@@ -919,14 +1049,15 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
       return false;
     };
   }
-  if (!speculate) {
+  if (!streaming && !speculate) {
     // Cross-rank transport: serialize one partition's outcomes across all
     // fused stages; a distributed backend gathers these to the scheduler in
     // ascending partition order instead of reading shared memory. Under
     // speculation the commit protocol IS the transport — winners (possibly
     // backup threads outside the rank world) write scheduler memory
-    // directly, and a gather could race a still-unwinding loser — so Mode B
-    // skips pack/unpack; ranks are in-process threads here.
+    // directly, and a gather could race a still-unwinding loser — and a
+    // window's cells are written rank-locally; both rely on ranks being
+    // in-process threads.
     task.pack = [&](size_t p) {
       ByteWriter w;
       for (size_t s = 0; s < n_stages; ++s) PackResult(w, results[s][p]);
@@ -972,66 +1103,71 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
   // records drop out of the bundle — the degraded-run outcome its policy
   // opted into. Everything it produced (partials, counts, params) is
   // excluded from the reduction as well.
-  std::vector<char> part_quarantined(n_parts, 0);
-  for (size_t p = 0; p < n_parts; ++p) {
-    for (size_t s = 0; s < n_stages; ++s) {
-      if (results[s][p].quarantined) {
-        part_quarantined[p] = 1;
-        parts[p].bundle = DataBundle{};
-        const PartResult& r = results[s][p];
-        QuarantineRecord q;
-        q.stage = stages[first + s].stage->name();
-        q.stage_index = first + s;
-        q.partition = p;
-        q.slot = parts[p].slot;
-        q.attempts = static_cast<size_t>(r.attempts);
-        q.error = r.status;
-        q.units = parts[p].slot.hi - parts[p].slot.lo;
-        // The pristine stage-entry slice, for checkpointed re-admission.
-        // Absent only when the SPMD transport carried the flag but not the
-        // slice (never the case today: ranks share the process).
-        if (q_slices[p].has_value()) q.slice = std::move(*q_slices[p]);
-        report.quarantined.push_back(std::move(q));
-        break;
-      }
+  const size_t final_level = n_levels - 1;
+  std::vector<char> dropped(nparts.back(), 0);
+  for (size_t q = 0; q < nparts.back(); ++q) {
+    for (size_t abs = l_first.back(); abs < last; ++abs) {
+      const PartResult& r = results[abs - first][q];
+      if (!r.quarantined) continue;
+      dropped[q] = 1;
+      BundlePartition& part = parts[final_level][q];
+      part.bundle = DataBundle{};
+      QuarantineRecord rec;
+      rec.stage = stages[abs].stage->name();
+      rec.stage_index = abs;
+      rec.partition = q;
+      rec.slot = part.slot;
+      rec.attempts = static_cast<size_t>(r.attempts);
+      rec.error = r.status;
+      rec.units = part.slot.hi - part.slot.lo;
+      // The pristine stage-entry slice, for checkpointed re-admission.
+      if (q_slices[q].has_value()) rec.slice = std::move(*q_slices[q]);
+      report.quarantined.push_back(std::move(rec));
+      break;
     }
   }
-  BundlePartitioner::Merge(bundle, parts);
+
+  // One merge reproduces the barriered bundle exactly: residual content in
+  // ascending (level, partition) order — the order interior merges would
+  // have appended it — then the final level's slices in ascending partition
+  // order. Slot indices are rewritten as merge-ordering keys.
+  {
+    std::vector<BundlePartition> merge_parts;
+    for (std::vector<BundlePartition>& level : parts) {
+      for (BundlePartition& part : level) {
+        part.slot.index = merge_parts.size();
+        merge_parts.push_back(std::move(part));
+      }
+    }
+    BundlePartitioner::Merge(bundle, merge_parts);
+  }
 
   bool group_ok = map_status.ok();
-  for (size_t s = 0; s < n_stages && group_ok; ++s) {
-    for (size_t p = 0; p < n_parts; ++p) {
-      if (part_quarantined[p]) continue;  // dropped, not failed
-      if (!results[s][p].ran || !results[s][p].status.ok()) {
-        group_ok = false;
-        break;
-      }
+  for (size_t s = 0; s < n_stages; ++s) {
+    for (size_t q = 0; q < results[s].size(); ++q) {
+      const PartResult& r = results[s][q];
+      if (!(r.ran && r.status.ok()) && !dropped[q]) group_ok = false;
     }
   }
 
-  // The reduction inputs for the After hook: every partition's emitted
-  // partials and summed counts, in ascending (stage, partition) order —
-  // already transported cross-rank by the backend when needed.
-  std::map<std::string, std::vector<Bytes>> gathered_partials;
-  std::map<std::string, uint64_t> gathered_counts;
-  if (group_ok) {
-    for (size_t s = 0; s < n_stages; ++s) {
-      for (size_t p = 0; p < n_parts; ++p) {
-        const PartResult& r = results[s][p];
-        if (!r.ran || part_quarantined[p]) continue;
-        for (const auto& [k, v] : r.partials) {
-          gathered_partials[k].push_back(v);
-        }
-        for (const auto& [k, v] : r.counts) gathered_counts[k] += v;
-      }
-    }
-  }
-
+  // The After hook belongs to the final level: its reduction inputs are
+  // that level's partials and summed counts in ascending (stage, partition)
+  // order — already transported cross-rank by the backend when needed.
   const PlannedStage& tail = stages[last - 1];
   Status after_status;
   if (group_ok && tail.stage->HasAfterHook()) {
-    hook_ctx.Reset(
-        DeriveRng(options_.seed, scope.run_index, last - 1, n_parts + 1));
+    std::map<std::string, std::vector<Bytes>> gathered_partials;
+    std::map<std::string, uint64_t> gathered_counts;
+    for (size_t abs = l_first.back(); abs < last; ++abs) {
+      for (size_t q = 0; q < nparts.back(); ++q) {
+        const PartResult& r = results[abs - first][q];
+        if (!r.ran || dropped[q]) continue;
+        for (const auto& [k, v] : r.partials) gathered_partials[k].push_back(v);
+        for (const auto& [k, v] : r.counts) gathered_counts[k] += v;
+      }
+    }
+    hook_ctx.Reset(DeriveStageRng(options_.seed, scope.run_index, last - 1,
+                                  nparts.back() + 1));
     hook_ctx.SetGathered(&gathered_partials, &gathered_counts);
     after_status = tail.stage->AfterMerge(bundle, hook_ctx);
     hook_ctx.SetGathered(nullptr, nullptr);
@@ -1039,599 +1175,114 @@ void ParallelExecutor::RunGroup(const PipelinePlan& plan, size_t first,
   }
   const double tail_seconds = tail_timer.Seconds();
 
-  // ---- Aggregate per-stage metrics in deterministic partition order. ----
-  std::vector<uint64_t> cur_bytes = part_bytes0;
+  // ---- Per-stage metrics in canonical (stage, partition) order, with the
+  // barriered accounting: a stage's bundle_bytes_after is its level's
+  // leftover (split leftover plus upstream residuals — exact, because
+  // ApproxBytes is item-additive) plus its partitions' current bytes.
+  std::vector<uint64_t> level_leftover(n_levels, leftover0);
+  for (size_t g = 1; g < n_levels; ++g) {
+    level_leftover[g] = level_leftover[g - 1];
+    for (uint64_t b : residual_bytes[g - 1]) level_leftover[g] += b;
+  }
   uint64_t prev_bytes_after = metrics[0].bundle_bytes_before;
-  for (size_t s = 0; s < n_stages; ++s) {
-    StageMetrics& m = metrics[s];
-    m.partitions = n_parts;
-    m.partition_seconds.resize(n_parts, 0.0);
-    m.bundle_bytes_before = s == 0 ? metrics[0].bundle_bytes_before
-                                   : prev_bytes_after;
-    double critical_path = 0;
-    bool any_ran = false;
-    for (size_t p = 0; p < n_parts; ++p) {
-      const PartResult& r = results[s][p];
-      m.partition_seconds[p] = r.seconds;
-      critical_path = std::max(critical_path, r.seconds);
-      if (r.ran) {
+  bool stop = false;
+  for (size_t g = 0; g < n_levels && !stop; ++g) {
+    bool level_failed = false;
+    std::vector<uint64_t> cur_bytes = level_bytes0[g];
+    for (size_t abs = l_first[g]; abs < l_last[g] && !stop; ++abs) {
+      const size_t s = abs - first;
+      StageMetrics& m = metrics[s];
+      m.partitions = nparts[g];
+      m.overlapped = streaming;
+      m.partition_seconds.resize(nparts[g], 0.0);
+      m.bundle_bytes_before = prev_bytes_after;
+      double critical_path = 0;
+      bool any_ran = false;
+      for (size_t q = 0; q < nparts[g]; ++q) {
+        const PartResult& r = results[s][q];
+        m.partition_seconds[q] = r.seconds;
+        critical_path = std::max(critical_path, r.seconds);
+        if (!r.ran) continue;
         any_ran = true;
         m.attempts += r.attempts;
         m.timeouts += r.timeouts;
         if (r.quarantined) {
           // Dropped, not failed: the stage stays OK, and nothing the
           // quarantined slice produced reaches metrics or provenance.
-          m.quarantined.push_back(p);
-          cur_bytes[p] = 0;
+          m.quarantined.push_back(q);
+          cur_bytes[q] = 0;
           continue;
         }
-        cur_bytes[p] = r.bytes_after;
+        cur_bytes[q] = r.bytes_after;
         if (m.status.ok() && !r.status.ok()) m.status = r.status;
         for (const auto& [k, v] : r.params) stage_params[s][k] = v;
         for (const auto& [k, v] : r.counts) stage_counts[s][k] += v;
       }
-    }
-    // Retry counts live in StageMetrics only (a successfully retried run
-    // must hash byte-identically to a fault-free one, and shard manifests
-    // embed the provenance hash); quarantine DID change the data, so it is
-    // a provenance fact.
-    if (!m.quarantined.empty()) {
-      stage_params[s]["quarantined"] = std::to_string(m.quarantined.size());
-    }
-    if (s == 0) {
-      if (m.status.ok() && !map_status.ok()) m.status = map_status;
-      // A bounded collective wait that expired is a timeout too.
-      if (map_status.code() == StatusCode::kDeadlineExceeded) ++m.timeouts;
-      // Speculation facts attach to the fused group's head stage.
-      m.speculative_launched = spec_launches.load(std::memory_order_relaxed);
-      m.speculative_wins = spec_wins;
-    }
-    m.seconds = critical_path;
-    if (s == 0) m.seconds += before_split_seconds;
-    if (s == n_stages - 1) {
-      m.seconds += tail_seconds;
-      if (m.status.ok() && !after_status.ok()) m.status = after_status;
-    }
-    uint64_t bytes_after = leftover_bytes;
-    for (uint64_t b : cur_bytes) bytes_after += b;
-    m.bundle_bytes_after =
-        s == n_stages - 1 ? bundle.ApproxBytes() : bytes_after;
-    prev_bytes_after = m.bundle_bytes_after;
-
-    // Drop trailing stages no partition attempted (fail-fast abort hit
-    // before they started) — mirrors the serial truncation semantics.
-    if (s > 0 && !any_ran) break;
-
-    // Scheduling facts that are backend-invariant go into provenance; the
-    // backend name deliberately does not, so thread and SPMD runs hash
-    // identically.
-    stage_params[s]["hint"] = std::string(ExecutionHintName(m.hint));
-    stage_params[s]["partitions"] = std::to_string(n_parts);
-    RecordStage(scope, m, MergedParams(stage_params[s], stage_counts[s]));
-    report.stages.push_back(std::move(m));
-    if (!report.stages.back().status.ok() && fail_fast) break;
-  }
-}
-
-void ParallelExecutor::RunWindow(const PipelinePlan& plan,
-                                 const OverlapWindow& window,
-                                 DataBundle& bundle,
-                                 const ExecutorRunScope& scope,
-                                 PipelineReport& report) {
-  const auto& stages = plan.stages();
-  const size_t first = window.first;
-  const size_t last = window.last;
-  const size_t n_stages = last - first;
-  const size_t n_groups = window.group_starts.size();
-  const PlannedStage& head = stages[first];
-  WallTimer window_timer;
-
-  // Group bounds (absolute stage indices) and the level each stage runs at.
-  std::vector<size_t> g_first = window.group_starts;
-  std::vector<size_t> g_last(n_groups);
-  for (size_t g = 0; g < n_groups; ++g) {
-    g_last[g] = g + 1 < n_groups ? g_first[g + 1] : last;
-  }
-
-  auto effective_deadline = [&](size_t abs) -> const DeadlinePolicy& {
-    return stages[abs].deadline.active() ? stages[abs].deadline
-                                         : options_.default_deadline;
-  };
-
-  std::vector<StageMetrics> metrics(n_stages);
-  for (size_t s = 0; s < n_stages; ++s) {
-    metrics[s].name = stages[first + s].stage->name();
-    metrics[s].kind = stages[first + s].stage->kind();
-    metrics[s].hint = stages[first + s].hint;
-  }
-  metrics[0].bundle_bytes_before = bundle.ApproxBytes();
-
-  StageContext hook_ctx(Rng(0), scope.provenance);
-  std::vector<std::map<std::string, std::string>> stage_params(n_stages);
-  std::vector<std::map<std::string, uint64_t>> stage_counts(n_stages);
-  auto harvest = [&](size_t s) {
-    for (const auto& [k, v] : hook_ctx.params()) stage_params[s][k] = v;
-    for (const auto& [k, v] : hook_ctx.counts()) stage_counts[s][k] += v;
-  };
-
-  WallTimer head_timer;
-  Status before_status;
-  if (head.stage->HasBeforeHook()) {
-    hook_ctx.Reset(DeriveRng(options_.seed, scope.run_index, first, 0));
-    before_status = head.stage->BeforePartition(bundle, hook_ctx);
-    harvest(0);
-  }
-  if (!before_status.ok()) {
-    metrics[0].status = before_status;
-    metrics[0].seconds = head_timer.Seconds();
-    metrics[0].bundle_bytes_after = bundle.ApproxBytes();
-    RecordStage(scope, metrics[0],
-                MergedParams(stage_params[0], stage_counts[0]));
-    report.stages.push_back(std::move(metrics[0]));
-    return;
-  }
-
-  auto split = BundlePartitioner::Split(bundle, head.parallel);
-  if (!split.ok()) {
-    metrics[0].status = split.status();
-    metrics[0].seconds = head_timer.Seconds();
-    metrics[0].bundle_bytes_after = bundle.ApproxBytes();
-    RecordStage(scope, metrics[0],
-                MergedParams(stage_params[0], stage_counts[0]));
-    report.stages.push_back(std::move(metrics[0]));
-    return;
-  }
-  std::vector<BundlePartition> roots = std::move(split).value();
-  const size_t n_roots = roots.size();
-  const size_t n_units = roots.back().slot.hi;
-  const uint64_t leftover0 = bundle.ApproxBytes();
-  // Streaming cannot reproduce the merge's attr-overlay (one partition's
-  // attr write would have to reach *every* downstream partition), so window
-  // stages must leave attrs untouched; the commit path enforces it.
-  const auto entry_attrs = bundle.attrs;
-  const double before_split_seconds = head_timer.Seconds();
-  ++report.overlap_windows;
-
-  // Per-level geometry. Every level partitions the same `n_units` units
-  // (the contract the commit path enforces per slice), so downstream
-  // partition counts are known before anything streams — exactly what a
-  // barriered run would have computed from the merged bundle.
-  std::vector<size_t> g_grain(n_groups), g_nparts(n_groups);
-  for (size_t g = 0; g < n_groups; ++g) {
-    g_grain[g] = EffectiveGrain(stages[g_first[g]].parallel);
-    g_nparts[g] =
-        g == 0 ? n_roots
-               : std::max<size_t>(1, (n_units + g_grain[g] - 1) / g_grain[g]);
-  }
-
-  std::vector<std::vector<PartResult>> results(n_stages);
-  std::vector<std::vector<uint64_t>> level_bytes0(n_groups);
-  for (size_t s = 0; s < n_stages; ++s) {
-    size_t g = 0;
-    while (first + s >= g_last[g]) ++g;
-    results[s].resize(g_nparts[g]);
-  }
-  for (size_t g = 0; g < n_groups; ++g) level_bytes0[g].resize(g_nparts[g], 0);
-  for (size_t p = 0; p < n_roots; ++p) {
-    level_bytes0[0][p] = roots[p].bundle.ApproxBytes();
-  }
-
-  // Committed final-level slices, residual upstream content (what a stage
-  // left in its slice besides the partitioned units), and their byte sizes
-  // for the interior-merge accounting. Each cell is written by exactly one
-  // worker (the one that processed that item) and read by the scheduler
-  // after Map returns.
-  std::vector<std::optional<BundlePartition>> final_parts(g_nparts.back());
-  std::vector<std::vector<std::optional<DataBundle>>> residuals(n_groups - 1);
-  std::vector<std::vector<uint64_t>> residual_bytes(n_groups - 1);
-  for (size_t g = 0; g + 1 < n_groups; ++g) {
-    residuals[g].resize(g_nparts[g]);
-    residual_bytes[g].resize(g_nparts[g], 0);
-  }
-
-  std::atomic<bool> abort{false};
-  const bool fail_fast = options_.fail_fast;
-
-  std::vector<const DeadlinePolicy*> policies(n_stages);
-  bool any_hard = false;
-  double collective_ms = 0;
-  for (size_t s = 0; s < n_stages; ++s) {
-    policies[s] = &effective_deadline(first + s);
-    any_hard |= policies[s]->hard_ms > 0;
-    collective_ms = std::max(collective_ms, policies[s]->collective_ms);
-  }
-  std::unique_ptr<AttemptWatchdog> watchdog;
-  if (any_hard) {
-    // No straggler callback: soft deadlines are barred from windows, so
-    // speculation never arms here.
-    watchdog = std::make_unique<AttemptWatchdog>(
-        WatchdogPollMs(MinArmedLimitMs(policies)));
-  }
-
-  // One unit of streamed work: partition `q` of level (= group) `level`.
-  struct WindowItem {
-    size_t level = 0;
-    size_t q = 0;
-    BundlePartition part;
-  };
-
-  // Run the item's group chain in place. Identical retry/fault/deadline
-  // semantics to the barriered Mode A path: pristine-slice snapshot, same
-  // derived RNG per attempt, watchdog hard-deadline tracking; the RNG slot
-  // and fault cell are (absolute stage, global partition index), so every
-  // injected fault and every random draw lands exactly where the barriered
-  // run would put it.
-  auto run_item_chain = [&](size_t level, size_t q, BundlePartition& part) {
-    for (size_t abs = g_first[level]; abs < g_last[level]; ++abs) {
-      if (fail_fast && abort.load(std::memory_order_relaxed)) return false;
-      const PlannedStage& planned = stages[abs];
-      const RetryPolicy& retry = planned.retry;
-      const DeadlinePolicy& deadline = *policies[abs - first];
-      PartResult& r = results[abs - first][q];
-      std::optional<DataBundle> snapshot;
-      if (retry.max_attempts > 1) snapshot = part.bundle.Clone();
-      size_t attempt = 1;
-      WallTimer t;
-      for (;;) {
-        StageContext ctx(
-            DeriveRng(options_.seed, scope.run_index, abs, q + 1),
-            scope.provenance);
-        ctx.SetPartition(part.slot);
-        ctx.SetAttempt(attempt);
-        if (options_.faults.active()) {
-          ctx.SetInjectedFault(options_.faults.Decide(
-              scope.run_index, planned.stage->name(), abs, q, attempt));
-        }
-        const uint64_t key = (static_cast<uint64_t>(level) << 32) | q;
-        const bool watched = watchdog && deadline.hard_ms > 0;
-        if (watched) {
-          watchdog->Track(key, ctx.cancel_token(), /*soft_ms=*/0.0,
-                          deadline.hard_ms,
-                          "stage '" + planned.stage->name() + "' partition " +
-                              std::to_string(q));
-        }
-        r.status = GuardedRun(*planned.stage, part.bundle, ctx);
-        if (watched) watchdog->Release(key);
-        r.params = ctx.params();
-        r.counts = ctx.counts();
-        r.partials = ctx.TakePartials();
-        if (r.status.code() == StatusCode::kDeadlineExceeded) ++r.timeouts;
-        if (r.status.ok() || attempt >= retry.max_attempts ||
-            !retry.ShouldRetry(r.status)) {
-          break;
-        }
-        ++attempt;
-        BackoffSleep(retry, attempt);
-        part.bundle = snapshot->Clone();
-      }
-      r.seconds = t.Seconds();
-      r.bytes_after = part.bundle.ApproxBytes();
-      r.ran = true;
-      r.attempts = attempt;
-      if (!r.status.ok()) {
-        if (fail_fast) abort.store(true, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Commit an upstream item: re-split its slice at the downstream grain
-  // into whole global downstream partitions. The slot arithmetic works
-  // because upstream partition boundaries are multiples of the upstream
-  // grain, which is a multiple of the downstream grain (the planner's
-  // divisibility rule), so child q of the window equals child q of the
-  // barriered run — same slot, same RNG stream, same fault cell.
-  auto resplit = [&](size_t level, size_t q, BundlePartition&& part,
-                     std::vector<WindowItem>& children) -> Status {
-    const size_t next = level + 1;
-    const ParallelSpec& spec = stages[g_first[next]].parallel;
-    const std::string& tail_name = stages[g_last[level] - 1].stage->name();
-    if (part.bundle.attrs != entry_attrs) {
-      return FailedPrecondition(
-          "stage '" + tail_name + "' modified bundle attrs inside an overlap "
-          "window; attr writes need the merge barrier — mark this boundary "
-          "OverlapPolicy::kBarrier");
-    }
-    const size_t expect = part.slot.hi - part.slot.lo;
-    const size_t base_q = part.slot.lo / g_grain[next];
-    std::vector<BundlePartition> sub;
-    if (spec.axis == PartitionAxis::kRange) {
-      // Range children carry no content — just attrs plus their slot, like
-      // the barriered split; producer-written content rides the residual.
-      const size_t n_children =
-          (expect + g_grain[next] - 1) / g_grain[next];
-      sub.resize(n_children);
-      for (size_t c = 0; c < n_children; ++c) {
-        sub[c].bundle.attrs = part.bundle.attrs;
-      }
-    } else {
-      auto counted =
-          BundlePartitioner::CountUnits(part.bundle, spec.axis, spec);
-      if (!counted.ok()) return counted.status();
-      if (counted.value() != expect) {
-        return FailedPrecondition(
-            "stage '" + tail_name + "' changed its partition's unit count (" +
-            std::to_string(expect) + " -> " +
-            std::to_string(counted.value()) + ") inside an overlap window; "
-            "streamed stages must preserve unit counts — mark this boundary "
-            "OverlapPolicy::kBarrier");
-      }
-      auto local = BundlePartitioner::Split(part.bundle, spec);
-      if (!local.ok()) return local.status();
-      sub = std::move(local).value();
-    }
-    children.reserve(sub.size());
-    for (size_t c = 0; c < sub.size(); ++c) {
-      WindowItem child;
-      child.level = next;
-      child.q = base_q + c;
-      child.part.bundle = std::move(sub[c].bundle);
-      child.part.slot.index = child.q;
-      child.part.slot.count = g_nparts[next];
-      child.part.slot.lo = std::min(n_units, child.q * g_grain[next]);
-      child.part.slot.hi = std::min(n_units, (child.q + 1) * g_grain[next]);
-      level_bytes0[next][child.q] = child.part.bundle.ApproxBytes();
-      children.push_back(std::move(child));
-    }
-    residual_bytes[level][q] = part.bundle.ApproxBytes();
-    residuals[level][q] = std::move(part.bundle);
-    return Status::Ok();
-  };
-
-  // Process one item to completion: run its chain, then either park the
-  // final slice or re-split and hand the children on — preferably through
-  // the channel (another crew worker picks them up), inline otherwise.
-  // `outstanding` counts unfinished items; children are counted before
-  // their parent retires, so the count can only reach zero when the whole
-  // cascade is done — that closes the channel and releases the crew.
-  PartitionChannel<WindowItem>* chan_ptr = nullptr;
-  std::atomic<size_t> outstanding{0};
-  std::function<void(WindowItem&&)> process = [&](WindowItem&& item) {
-    std::vector<WindowItem> children;
-    if (!(fail_fast && abort.load(std::memory_order_relaxed)) &&
-        run_item_chain(item.level, item.q, item.part)) {
-      if (item.level + 1 == n_groups) {
-        final_parts[item.q] = std::move(item.part);
-      } else {
-        Status st =
-            resplit(item.level, item.q, std::move(item.part), children);
-        if (!st.ok()) {
-          // A streaming-contract violation surfaces on the level's last
-          // stage — the stage whose output could not be re-split.
-          results[g_last[item.level] - 1 - first][item.q].status = st;
-          if (fail_fast) abort.store(true, std::memory_order_relaxed);
-          children.clear();
-        }
-      }
-    }
-    std::vector<WindowItem> inline_children;
-    if (chan_ptr != nullptr) {
-      outstanding.fetch_add(children.size(), std::memory_order_acq_rel);
-      for (WindowItem& c : children) {
-        // TryPush leaves `c` intact on failure (full channel), so the
-        // producer runs the child itself — pushes never block, which keeps
-        // the crew deadlock-free at any worker count.
-        if (!chan_ptr->TryPush(std::move(c))) {
-          inline_children.push_back(std::move(c));
-        }
-      }
-      if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        chan_ptr->Close();
-      }
-    } else {
-      inline_children = std::move(children);
-    }
-    for (WindowItem& c : inline_children) process(std::move(c));
-  };
-
-  PartitionTask task;
-  task.collective_timeout_ms = collective_ms;
-  size_t max_parts = 0;
-  for (size_t np : g_nparts) max_parts = std::max(max_parts, np);
-  const size_t crew =
-      std::max<size_t>(1, std::min(backend_->concurrency(), max_parts));
-  PartitionChannel<WindowItem> chan(n_roots + 2 * crew);
-  if (backend_->dynamic_tasks()) {
-    // Work-crew shape: seed the channel with the roots and let `crew`
-    // backend slots drain it; work discovered mid-map (committed children)
-    // re-enters the same channel.
-    chan_ptr = &chan;
-    outstanding.store(n_roots, std::memory_order_relaxed);
-    for (size_t p = 0; p < n_roots; ++p) {
-      WindowItem item;
-      item.level = 0;
-      item.q = p;
-      item.part = std::move(roots[p]);
-      chan.TryPush(std::move(item));  // capacity >= n_roots: cannot fail
-    }
-    task.n_parts = crew;
-    task.run = [&](size_t) {
-      while (auto item = chan.Pop()) process(std::move(*item));
-    };
-  } else {
-    // Static shape (SPMD): the rank that owns root p runs p's entire
-    // downstream cone depth-first, overlapping its local partitions; the
-    // backend gathers once per window, not once per group. Outcome cells
-    // are written rank-locally and read after the map joins — the same
-    // in-process-ranks shared-memory contract the quarantine stash uses.
-    task.n_parts = n_roots;
-    task.run = [&](size_t p) {
-      WindowItem item;
-      item.level = 0;
-      item.q = p;
-      item.part = std::move(roots[p]);
-      process(std::move(item));
-    };
-  }
-
-  Status map_status;
-  try {
-    backend_->Map(task);
-  } catch (const par::DeadlineExceededError& e) {
-    map_status = e.ToStatus();
-  } catch (const std::exception& e) {
-    map_status = Internal("backend '" + std::string(backend_->name()) +
-                          "' failed: " + e.what());
-  } catch (...) {
-    map_status = Internal("backend '" + std::string(backend_->name()) +
-                          "' failed with a non-std exception");
-  }
-  if (watchdog) watchdog->Stop();
-
-  WallTimer tail_timer;
-
-  // Window-end merge, reproducing the barriered bundle exactly: residual
-  // content in ascending (level, partition) order — the order the interior
-  // merges would have appended it — then the final level's slices in
-  // ascending partition order. Slot indices here are merge-ordering keys.
-  {
-    std::vector<BundlePartition> merge_parts;
-    size_t order = 0;
-    for (size_t g = 0; g + 1 < n_groups; ++g) {
-      for (size_t q = 0; q < g_nparts[g]; ++q) {
-        if (!residuals[g][q].has_value()) continue;
-        BundlePartition bp;
-        bp.bundle = std::move(*residuals[g][q]);
-        bp.slot.index = order++;
-        merge_parts.push_back(std::move(bp));
-      }
-    }
-    for (size_t q = 0; q < g_nparts.back(); ++q) {
-      if (!final_parts[q].has_value()) continue;
-      BundlePartition bp = std::move(*final_parts[q]);
-      bp.slot.index = order++;
-      merge_parts.push_back(std::move(bp));
-    }
-    BundlePartitioner::Merge(bundle, merge_parts);
-  }
-
-  bool group_ok = map_status.ok();
-  for (size_t s = 0; s < n_stages && group_ok; ++s) {
-    for (const PartResult& r : results[s]) {
-      if (!r.ran || !r.status.ok()) {
-        group_ok = false;
-        break;
-      }
-    }
-  }
-
-  // The After hook belongs to the window's final group: its reduction
-  // inputs are that group's partials/counts in ascending (stage, partition)
-  // order, exactly as the barriered group merge would gather them.
-  std::map<std::string, std::vector<Bytes>> gathered_partials;
-  std::map<std::string, uint64_t> gathered_counts;
-  const PlannedStage& tail = stages[last - 1];
-  Status after_status;
-  if (group_ok && tail.stage->HasAfterHook()) {
-    for (size_t abs = g_first.back(); abs < last; ++abs) {
-      for (const PartResult& r : results[abs - first]) {
-        if (!r.ran) continue;
-        for (const auto& [k, v] : r.partials) gathered_partials[k].push_back(v);
-        for (const auto& [k, v] : r.counts) gathered_counts[k] += v;
-      }
-    }
-    hook_ctx.Reset(DeriveRng(options_.seed, scope.run_index, last - 1,
-                             g_nparts.back() + 1));
-    hook_ctx.SetGathered(&gathered_partials, &gathered_counts);
-    after_status = tail.stage->AfterMerge(bundle, hook_ctx);
-    hook_ctx.SetGathered(nullptr, nullptr);
-    harvest(n_stages - 1);
-  }
-  const double tail_seconds = tail_timer.Seconds();
-
-  // ---- Aggregate per-stage metrics in canonical (stage, partition) order,
-  // reproducing the barriered accounting: a stage's bundle_bytes_after is
-  // its level's leftover (window leftover plus upstream residuals — exact,
-  // because ApproxBytes is item-additive) plus its partitions' bytes.
-  std::vector<uint64_t> level_leftover(n_groups, leftover0);
-  for (size_t g = 1; g < n_groups; ++g) {
-    level_leftover[g] = level_leftover[g - 1];
-    for (uint64_t b : residual_bytes[g - 1]) level_leftover[g] += b;
-  }
-
-  uint64_t prev_bytes_after = metrics[0].bundle_bytes_before;
-  bool stop = false;
-  for (size_t g = 0; g < n_groups && !stop; ++g) {
-    bool group_failed = false;
-    for (size_t abs = g_first[g]; abs < g_last[g]; ++abs) {
-      const size_t s = abs - first;
-      StageMetrics& m = metrics[s];
-      const size_t np = g_nparts[g];
-      m.partitions = np;
-      m.overlapped = true;
-      m.partition_seconds.resize(np, 0.0);
-      m.bundle_bytes_before = prev_bytes_after;
-      double critical_path = 0;
-      bool any_ran = false;
-      uint64_t sum_bytes = 0;
-      for (size_t q = 0; q < np; ++q) {
-        const PartResult& r = results[s][q];
-        m.partition_seconds[q] = r.seconds;
-        critical_path = std::max(critical_path, r.seconds);
-        if (r.ran) {
-          any_ran = true;
-          m.attempts += r.attempts;
-          m.timeouts += r.timeouts;
-          sum_bytes += r.bytes_after;
-          if (m.status.ok() && !r.status.ok()) m.status = r.status;
-          for (const auto& [k, v] : r.params) stage_params[s][k] = v;
-          for (const auto& [k, v] : r.counts) stage_counts[s][k] += v;
-        } else {
-          sum_bytes += level_bytes0[g][q];
-        }
-      }
-      if (s == 0) {
-        if (m.status.ok() && !map_status.ok()) m.status = map_status;
-        if (map_status.code() == StatusCode::kDeadlineExceeded) ++m.timeouts;
+      // Retry counts live in StageMetrics only (a successfully retried run
+      // must hash byte-identically to a fault-free one, and shard manifests
+      // embed the provenance hash); quarantine DID change the data, so it
+      // is a provenance fact.
+      if (!m.quarantined.empty()) {
+        stage_params[s]["quarantined"] = std::to_string(m.quarantined.size());
       }
       m.seconds = critical_path;
-      if (s == 0) m.seconds += before_split_seconds;
+      if (s == 0) {
+        if (m.status.ok() && !map_status.ok()) m.status = map_status;
+        // A bounded collective wait that expired is a timeout too.
+        if (map_status.code() == StatusCode::kDeadlineExceeded) ++m.timeouts;
+        // Speculation facts attach to the group's head stage.
+        m.speculative_launched = spec_launches.load(std::memory_order_relaxed);
+        m.speculative_wins = spec_wins;
+        m.seconds += before_split_seconds;
+      }
+      uint64_t bytes_after = level_leftover[g];
+      for (uint64_t b : cur_bytes) bytes_after += b;
+      m.bundle_bytes_after = bytes_after;
       if (s == n_stages - 1) {
         m.seconds += tail_seconds;
         if (m.status.ok() && !after_status.ok()) m.status = after_status;
+        m.bundle_bytes_after = bundle.ApproxBytes();
       }
-      m.bundle_bytes_after = s == n_stages - 1
-                                 ? bundle.ApproxBytes()
-                                 : level_leftover[g] + sum_bytes;
       prev_bytes_after = m.bundle_bytes_after;
 
-      // Mirror the barriered truncation semantics group by group: trailing
-      // stages no partition attempted produce no row.
-      if (abs > g_first[g] && !any_ran) break;
+      // Trailing stages of a level that no partition attempted (a
+      // fail-fast abort hit before they started) produce no row.
+      if (abs > l_first[g] && !any_ran) break;
 
+      // Scheduling facts that are backend-invariant go into provenance; the
+      // backend name deliberately does not, so thread and SPMD runs hash
+      // identically.
       stage_params[s]["hint"] = std::string(ExecutionHintName(m.hint));
-      stage_params[s]["partitions"] = std::to_string(np);
+      stage_params[s]["partitions"] = std::to_string(nparts[g]);
       RecordStage(scope, m, MergedParams(stage_params[s], stage_counts[s]));
       report.stages.push_back(std::move(m));
       if (!report.stages.back().status.ok()) {
-        group_failed = true;
-        if (fail_fast) {
-          stop = true;
-          break;
-        }
+        level_failed = true;
+        stop = fail_fast;
       }
     }
-    // Groups downstream of a failure never ran in barrier terms: their rows
-    // are dropped here and Run() records them as skipped (or truncates).
-    if (group_failed) stop = true;
+    // A failed level ends the window: downstream levels never ran in
+    // barrier terms, and Run() records them as skipped (or truncates).
+    stop = stop || level_failed;
   }
 
-  // Savings estimate: a barriered run pays each stage's critical path
-  // back-to-back; the window paid one overlapped wall. Split/merge overhead
-  // the barrier would also pay per group is not credited, so this
-  // under-reports rather than flatters.
-  double barrier_estimate = before_split_seconds + tail_seconds;
-  for (size_t s = 0; s < n_stages; ++s) {
-    double critical_path = 0;
-    for (const PartResult& r : results[s]) {
-      critical_path = std::max(critical_path, r.seconds);
+  if (streaming) {
+    // Savings estimate: a barriered run pays each stage's critical path
+    // back-to-back; the window paid one overlapped wall. Split/merge
+    // overhead the barrier would also pay per level is not credited, so
+    // this under-reports rather than flatters.
+    double barrier_estimate = before_split_seconds + tail_seconds;
+    for (const std::vector<PartResult>& stage_results : results) {
+      double critical_path = 0;
+      for (const PartResult& r : stage_results) {
+        critical_path = std::max(critical_path, r.seconds);
+      }
+      barrier_estimate += critical_path;
     }
-    barrier_estimate += critical_path;
-  }
-  const double window_wall = window_timer.Seconds();
-  if (barrier_estimate > window_wall) {
-    report.overlap_seconds_saved += barrier_estimate - window_wall;
+    const double window_wall = window_timer.Seconds();
+    if (barrier_estimate > window_wall) {
+      report.overlap_seconds_saved += barrier_estimate - window_wall;
+    }
   }
 }
 

@@ -2,13 +2,13 @@
 //
 // ParallelExecutor — the backend-agnostic scheduler for a PipelinePlan.
 //
-// Serial stages run exactly as the old monolithic Pipeline did. Parallel
-// stages run as a map-reduce: the stage's serial BeforePartition hook, a
-// BundlePartitioner::Split, the stage's Run once per partition (dispatched
-// through an ExecutionBackend — thread pool workers or SPMD ranks), a
-// deterministic Merge, then the serial AfterMerge hook. Consecutive
-// parallel stages with identical ParallelSpecs and no hooks at the
-// interior boundaries are *fused*: split once, run the stage chain per
+// Every stage attempt goes through one attempt runner. A serial stage is
+// one runner cell (hooks inside the attempt). Parallel stages run as a
+// map-reduce: the serial BeforePartition hook, a BundlePartitioner::Split,
+// one runner cell per partition (dispatched through an ExecutionBackend —
+// thread pool workers or SPMD ranks), a deterministic Merge, then the
+// serial AfterMerge hook. Consecutive parallel stages with identical specs
+// and no interior hooks are *fused*: split once, run the chain per
 // partition, merge once.
 //
 // The scheduler decides what each partition runs and how outcomes merge;
@@ -194,16 +194,12 @@ class ParallelExecutor {
   [[nodiscard]] const ExecutionBackend& backend() const { return *backend_; }
 
  private:
-  /// Run the fused stage group [first, last) of the plan. Appends one
-  /// StageMetrics per stage to the report.
-  void RunGroup(const PipelinePlan& plan, size_t first, size_t last,
-                DataBundle& bundle, const ExecutorRunScope& scope,
-                PipelineReport& report);
-  /// Run an overlap window: the window's fused groups execute as one
-  /// streaming dataflow — a committed upstream partition is re-split at the
-  /// downstream grain and processed immediately. Appends one StageMetrics
-  /// per window stage to the report, in canonical order, with the exact
-  /// statuses/bytes/params a barriered run would record.
+  /// Run one serial stage (hooks included) through the attempt runner.
+  void RunSerial(const PipelinePlan& plan, size_t abs, DataBundle& bundle,
+                 const ExecutorRunScope& scope, PipelineReport& report);
+  /// The group driver: run a fused group (a one-level window) or an overlap
+  /// window, whose levels stream. Appends one StageMetrics per stage, in
+  /// canonical order, exactly as a barriered run would record them.
   void RunWindow(const PipelinePlan& plan, const struct OverlapWindow& window,
                  DataBundle& bundle, const ExecutorRunScope& scope,
                  PipelineReport& report);
@@ -214,10 +210,10 @@ class ParallelExecutor {
   std::unique_ptr<ExecutionBackend> backend_;
 };
 
-/// One legal overlap window: >= 2 consecutive fused groups whose boundaries
-/// all stream. `group_starts` holds the absolute plan index of each group's
-/// first stage (group g spans [group_starts[g], group_starts[g+1]) and the
-/// final group ends at `last`).
+/// Consecutive fused groups (levels) whose boundaries all stream; group g
+/// spans [group_starts[g], group_starts[g+1]), the last one ends at `last`.
+/// The planner emits windows of >= 2 groups; the executor runs a lone fused
+/// group as a one-level window.
 struct OverlapWindow {
   size_t first = 0;  ///< absolute index of the window's first stage
   size_t last = 0;   ///< one past the window's final stage
@@ -250,11 +246,14 @@ std::vector<OverlapWindow> ComputeOverlapWindows(const PipelinePlan& plan,
 /// replay a partition with the original run's exact stream.
 Rng DeriveStageRng(uint64_t seed, uint64_t run, size_t stage, size_t slot);
 
+/// One attempt of `stage.Run`: fires ctx's injected fault after a clean run
+/// and turns a throw into kInternal ("stage 'x' threw<suffix>: ...").
+Status GuardedRun(Stage&, DataBundle&, StageContext&, std::string_view = {});
+
 /// One past the last stage of the fused group starting at `first`: the
 /// maximal run of parallel stages with identical specs and no hooks at
-/// interior boundaries (first + 1 for serial stages). The single source of
-/// truth for group boundaries, shared by the executor and the re-admission
-/// replay.
+/// interior boundaries (first + 1 for serial stages). Shared by the
+/// executor and the re-admission replay.
 size_t FusedGroupEnd(const PipelinePlan& plan, size_t first);
 
 }  // namespace drai::core

@@ -131,13 +131,9 @@ PipelineReport Pipeline::Resume(DataBundle& bundle) {
           DeriveStageRng(options_.seed, cp.run_index, s, q.partition + 1),
           nullptr);
       ctx.SetPartition(q.slot);
-      ctx.SetAttempt(1);
-      try {
-        status = stages[s].stage->Run(slice, ctx);
-      } catch (const std::exception& e) {
-        status = Internal("stage '" + stages[s].stage->name() +
-                          "' threw during re-admission replay: " + e.what());
-      }
+      // No injected fault rides the context: replays run clean.
+      status = GuardedRun(*stages[s].stage, slice, ctx,
+                          " during re-admission replay");
     }
     if (status.ok()) {
       rec.units = q.slot.hi - q.slot.lo;

@@ -217,6 +217,7 @@ struct HangPipeline {
   DeadlinePolicy default_deadline;  ///< executor-wide safety net
   CheckpointSink* checkpoint = nullptr;
   bool die_on_gate = false;  ///< the serial "gate" stage fails
+  bool gate_throws = false;  ///< the serial "gate" stage throws a non-std 42
 };
 
 Pipeline MakePipeline(HangPipeline& cfg) {
@@ -255,6 +256,7 @@ Pipeline MakePipeline(HangPipeline& cfg) {
   p.WithDeadline(cfg.deadline);
   p.Add("gate", StageKind::kTransform,
         [&cfg](DataBundle&, StageContext&) -> Status {
+          if (cfg.gate_throws) throw 42;
           if (cfg.die_on_gate) return Unavailable("simulated flaky gate");
           return Status::Ok();
         });
@@ -647,6 +649,44 @@ TEST(Readmission, FailedReplayKeepsSliceDropped) {
   EXPECT_EQ(resumed.examples.size(), 4u);
 }
 
+TEST(Readmission, NonStdThrowDuringReplayIsInternal) {
+  par::StripedStore store;
+  StoreCheckpointSink sink(store, "/ckpt");
+
+  HangPipeline faulty;
+  faulty.checkpoint = &sink;
+  FaultSite site;
+  site.stage = "salt";
+  site.partition = 0;
+  site.fail_attempts = 100;
+  faulty.faults.sites.push_back(site);
+  faulty.retry.quarantine = true;
+  DataBundle degraded;
+  {
+    Pipeline p = MakePipeline(faulty);
+    ASSERT_TRUE(p.Run(degraded).ok);
+  }
+
+  // The resumed run has nothing left to execute, so the throwing "gate"
+  // stage only runs inside the re-admission replay. The throw must land in
+  // the readmission record as kInternal, exactly as a normal run's guarded
+  // attempt would report it, instead of escaping Resume.
+  HangPipeline broken;
+  broken.checkpoint = &sink;
+  broken.gate_throws = true;
+  Pipeline p = MakePipeline(broken);
+  DataBundle resumed;
+  PipelineReport report = p.Resume(resumed);
+  ASSERT_TRUE(report.ok) << report.error.ToString();
+  ASSERT_EQ(report.readmissions.size(), 1u);
+  EXPECT_EQ(report.readmissions[0].status.code(), StatusCode::kInternal);
+  EXPECT_NE(report.readmissions[0].status.message().find(
+                "re-admission replay"),
+            std::string::npos)
+      << report.readmissions[0].status.ToString();
+  EXPECT_EQ(report.readmissions[0].units, 0u);
+  EXPECT_EQ(resumed.examples.size(), 4u);
+}
 
 // The shared differential harness on the hang-injection workload: hung
 // attempts are cancelled by the hard deadline and retried, and every
