@@ -232,6 +232,17 @@ Bytes FrameClaiming(Codec codec, uint64_t raw_size) {
   return w.Take();
 }
 
+TEST(Codec, DeltaHeaderClaimingAnExbibyteIsDataLoss) {
+  // Must fail on the header, before allocating the claimed size.
+  EXPECT_EQ(Decode(FrameClaiming(Codec::kDeltaI64, uint64_t{1} << 60)).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(Codec, LzHeaderClaimingAnExbibyteIsDataLoss) {
+  EXPECT_EQ(Decode(FrameClaiming(Codec::kLz, uint64_t{1} << 60)).status().code(),
+            StatusCode::kDataLoss);
+}
+
 TEST(Codec, HeaderClaimingAnExbibyteIsDataLoss) {
   // Every decoder must reject the hostile header as corrupt data, before
   // allocating the claimed size (which would throw std::bad_alloc).
