@@ -1,6 +1,8 @@
 #include "core/quality.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "common/hash.hpp"
@@ -60,25 +62,66 @@ std::string QualityReport::ToText() const {
   return out;
 }
 
+namespace {
+
+/// The example's feature tensors in name order, each contiguous (a view
+/// already contiguous shares its storage): the payload is their bytes
+/// back to back, key excluded.
+std::vector<NDArray> PayloadParts(const shard::Example& ex) {
+  std::vector<NDArray> parts;
+  parts.reserve(ex.features.size());
+  for (const auto& [name, tensor] : ex.features) {
+    parts.push_back(tensor.IsContiguous() ? tensor : tensor.AsContiguous());
+  }
+  return parts;
+}
+
+/// The payload's bytes back to back, to confirm a key match: feature
+/// boundaries are not part of it.
+Bytes PayloadBytes(const std::vector<NDArray>& parts) {
+  Bytes out;
+  for (const NDArray& part : parts) {
+    const auto raw = part.raw_bytes();
+    out.insert(out.end(), raw.begin(), raw.end());
+  }
+  return out;
+}
+
+}  // namespace
+
 QualityReport AssessQuality(std::span<const shard::Example> examples) {
   QualityReport report;
   report.n_examples = examples.size();
   std::set<std::string> keys;
-  std::set<uint64_t> payload_hashes;
+  // (chained CRC-32, total length) -> the examples holding each distinct
+  // payload with that key; a key match counts only once the bytes agree.
+  std::map<std::pair<uint32_t, size_t>, std::vector<size_t>> payloads;
   std::vector<int64_t> labels;
-  for (const shard::Example& ex : examples) {
+  for (size_t e = 0; e < examples.size(); ++e) {
+    const shard::Example& ex = examples[e];
     if (!keys.insert(ex.key).second) ++report.duplicate_keys;
-    // Content hash over feature bytes only (key excluded), so a renamed
-    // byte-identical copy still registers as a duplicate payload.
-    Bytes content;
-    for (const auto& [name, tensor] : ex.features) {
-      const NDArray c = tensor.IsContiguous() ? tensor : tensor.AsContiguous();
-      const auto raw = c.raw_bytes();
-      content.insert(content.end(), raw.begin(), raw.end());
+    // Keyed on feature bytes only, so a renamed byte-identical copy still
+    // registers as a duplicate payload.
+    const std::vector<NDArray> parts = PayloadParts(ex);
+    uint32_t crc = 0;
+    size_t length = 0;
+    for (const NDArray& part : parts) {
+      crc = Crc32(part.raw_bytes(), crc);
+      length += part.nbytes();
     }
-    const uint64_t h = Fnv1a64(std::span<const std::byte>(content.data(),
-                                                          content.size()));
-    if (!payload_hashes.insert(h).second) ++report.duplicate_payloads;
+    std::vector<size_t>& seen = payloads[{crc, length}];
+    bool duplicate = false;
+    if (!seen.empty()) {
+      const Bytes bytes = PayloadBytes(parts);
+      duplicate = std::any_of(seen.begin(), seen.end(), [&](size_t earlier) {
+        return PayloadBytes(PayloadParts(examples[earlier])) == bytes;
+      });
+    }
+    if (duplicate) {
+      ++report.duplicate_payloads;
+    } else {
+      seen.push_back(e);
+    }
 
     for (const auto& [name, tensor] : ex.features) {
       if (name == "label") continue;

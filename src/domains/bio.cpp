@@ -226,23 +226,25 @@ Result<BioArchetypeResult> RunBioArchetype(par::StripedStore& store,
           // Sequence features: per-tile GC content + k-mer motif-ish
           // summary (mean one-hot occupancy per base).
           NDArray x = NDArray::Zeros({tiles.size() * 5 + 2}, DType::kF32);
+          const auto xs = x.span<float>();
           for (size_t t = 0; t < tiles.size(); ++t) {
             DRAI_ASSIGN_OR_RETURN(
                 NDArray onehot,
                 sequence::OneHot(sequence::Alphabet::kDna, tiles[t]));
+            const auto oh = onehot.span<float>();
             // Column means of the one-hot tile: base composition.
             for (size_t b = 0; b < 4; ++b) {
               double mean = 0;
               for (size_t p = 0; p < tiles[t].size(); ++p) {
-                mean += onehot.GetAsDouble(p * 4 + b);
+                mean += ToDouble(oh[p * 4 + b]);
               }
-              x.SetFromDouble(t * 5 + b,
-                              mean / static_cast<double>(tiles[t].size()));
+              xs[t * 5 + b] = FromDouble<float>(
+                  mean / static_cast<double>(tiles[t].size()));
             }
-            x.SetFromDouble(t * 5 + 4, sequence::GcContent(tiles[t]));
+            xs[t * 5 + 4] = FromDouble<float>(sequence::GcContent(tiles[t]));
           }
-          x.SetFromDouble(tiles.size() * 5 + 0, age_mid / 100.0);
-          x.SetFromDouble(tiles.size() * 5 + 1, sex);
+          xs[tiles.size() * 5 + 0] = FromDouble<float>(age_mid / 100.0);
+          xs[tiles.size() * 5 + 1] = FromDouble<float>(sex);
           shard::Example ex;
           ex.key = token;  // pseudonymized key — no PHI in shards
           ex.features["x"] = std::move(x);

@@ -198,14 +198,18 @@ Result<ArchetypeResult> RunFusionArchetype(
           for (size_t s = 0; s < metas->size(); ++s) {
             const NDArray& f = bundle.tensors.at("features/" + (*metas)[s].id);
             const size_t rows = f.shape()[0];
-            for (size_t j = 0; j < nf; ++j) {
-              double mean = 0;
-              for (size_t r = 0; r < rows; ++r) {
-                mean += f.GetAsDouble(r * nf + j);
+            double* shot = shot_features.data<double>() + s * nf;
+            const NDArray in = f.IsContiguous() ? f : f.AsContiguous();
+            VisitDType(in.dtype(), [&](auto tag) {
+              const auto src = in.span<decltype(tag)>();
+              for (size_t j = 0; j < nf; ++j) {
+                double mean = 0;
+                for (size_t r = 0; r < rows; ++r) {
+                  mean += ToDouble(src[r * nf + j]);
+                }
+                shot[j] = rows ? mean / static_cast<double>(rows) : 0.0;
               }
-              shot_features.SetFromDouble(
-                  s * nf + j, rows ? mean / static_cast<double>(rows) : 0.0);
-            }
+            });
             labels[s] = (*metas)[s].label;
           }
           augment::TrainFn train = [](const NDArray& x,
@@ -270,17 +274,23 @@ Result<ArchetypeResult> RunFusionArchetype(
           if (it->second < 0) continue;  // still unlabeled: excluded
           const size_t rows = features.shape()[0];
           const size_t nf = features.shape()[1];
-          for (size_t r = 0; r < rows; ++r) {
-            shard::Example ex;
-            ex.key = shot_id + "#w" + std::to_string(r);
-            NDArray row = NDArray::Zeros({nf}, DType::kF32);
-            for (size_t j = 0; j < nf; ++j) {
-              row.SetFromDouble(j, features.GetAsDouble(r * nf + j));
+          const NDArray in =
+              features.IsContiguous() ? features : features.AsContiguous();
+          VisitDType(in.dtype(), [&](auto tag) {
+            const auto src = in.span<decltype(tag)>();
+            for (size_t r = 0; r < rows; ++r) {
+              shard::Example ex;
+              ex.key = shot_id + "#w" + std::to_string(r);
+              NDArray row = NDArray::Zeros({nf}, DType::kF32);
+              float* dst = row.data<float>();
+              for (size_t j = 0; j < nf; ++j) {
+                dst[j] = FromDouble<float>(ToDouble(src[r * nf + j]));
+              }
+              ex.features["x"] = std::move(row);
+              ex.SetLabel(it->second);
+              bundle.examples.push_back(std::move(ex));
             }
-            ex.features["x"] = std::move(row);
-            ex.SetLabel(it->second);
-            bundle.examples.push_back(std::move(ex));
-          }
+          });
         }
         return Status::Ok();
       },

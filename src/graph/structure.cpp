@@ -24,6 +24,13 @@ Status Structure::Validate() const {
   if (frac_coords.empty()) {
     return InvalidArgument("structure '" + id + "': no atoms");
   }
+  const auto finite = [](const Vec3& v) {
+    return std::isfinite(v[0]) && std::isfinite(v[1]) && std::isfinite(v[2]);
+  };
+  if (!std::all_of(lattice.begin(), lattice.end(), finite) ||
+      !std::all_of(frac_coords.begin(), frac_coords.end(), finite)) {
+    return InvalidArgument("structure '" + id + "': non-finite coordinate");
+  }
   if (Volume() <= 1e-9) {
     return InvalidArgument("structure '" + id + "': degenerate lattice");
   }
@@ -53,44 +60,73 @@ double Structure::Volume() const {
 Result<std::vector<Neighbor>> BuildNeighborList(const Structure& s,
                                                 double cutoff) {
   DRAI_RETURN_IF_ERROR(s.Validate());
-  if (cutoff <= 0) return InvalidArgument("cutoff must be > 0");
+  if (!std::isfinite(cutoff) || cutoff <= 0) {
+    return InvalidArgument("cutoff must be finite and > 0");
+  }
 
-  // How many images along each lattice direction can contain a neighbor:
-  // distance between parallel cell faces is V / |cross of the other two|.
+  // Image k along lattice direction d puts atom j at least
+  // |df_d + k| * spacing_d from atom i, where df_d is their fractional
+  // offset and spacing_d = V / |cross of the other two| the distance
+  // between lattice planes. `reach` bounds k over every pair; `slack` is
+  // the per-pair bound in units of spacing_d, widened by a margin no float
+  // rounding of d2 can cross, so only images proven out of range are
+  // skipped.
   const double volume = s.Volume();
   std::array<int, 3> reach{};
+  std::array<double, 3> slack{};
+  const double margin = cutoff * (1 + 1e-9) + 1e-9;
   for (int d = 0; d < 3; ++d) {
     const Vec3& u = s.lattice[static_cast<size_t>((d + 1) % 3)];
     const Vec3& v = s.lattice[static_cast<size_t>((d + 2) % 3)];
     const double face = Norm(Cross(u, v));
     const double spacing = volume / face;
-    reach[static_cast<size_t>(d)] =
-        static_cast<int>(std::ceil(cutoff / spacing));
+    const double images = std::ceil(cutoff / spacing);
+    // Neighbor::image is int8_t; NaN fails the test too.
+    if (!(images <= 127)) {
+      return InvalidArgument("cutoff needs more than 127 periodic images");
+    }
+    reach[static_cast<size_t>(d)] = static_cast<int>(images);
+    slack[static_cast<size_t>(d)] = margin / spacing;
   }
 
   const size_t n = s.NumAtoms();
   std::vector<Vec3> cart(n);
   for (size_t i = 0; i < n; ++i) cart[i] = s.Cartesian(i);
 
+  // [lo, hi] of the images of axis d that can hold a neighbor for
+  // fractional offset df, clamped to [-reach, reach] before the int cast.
+  const auto image_range = [&](int d, double df) -> std::array<int, 2> {
+    const double r = reach[static_cast<size_t>(d)];
+    const double t = slack[static_cast<size_t>(d)];
+    const double lo = std::max(-r, std::ceil(-t - df));
+    const double hi = std::min(r, std::floor(t - df));
+    if (!(lo <= hi)) return {1, 0};
+    return {static_cast<int>(lo), static_cast<int>(hi)};
+  };
+
   std::vector<Neighbor> edges;
   const double cutoff_sq = cutoff * cutoff;
+  const Mat3& l = s.lattice;
   for (size_t i = 0; i < n; ++i) {
+    const Vec3& fi = s.frac_coords[i];
     for (size_t j = 0; j < n; ++j) {
-      for (int ia = -reach[0]; ia <= reach[0]; ++ia) {
-        for (int ib = -reach[1]; ib <= reach[1]; ++ib) {
-          for (int ic = -reach[2]; ic <= reach[2]; ++ic) {
+      const Vec3& fj = s.frac_coords[j];
+      const auto [a_lo, a_hi] = image_range(0, fj[0] - fi[0]);
+      const auto [b_lo, b_hi] = image_range(1, fj[1] - fi[1]);
+      const auto [c_lo, c_hi] = image_range(2, fj[2] - fi[2]);
+      // shifted = cart[j] + ia*a + ib*b + ic*c, summed left to right with
+      // each prefix hoisted out of the loops it does not depend on.
+      for (int ia = a_lo; ia <= a_hi; ++ia) {
+        Vec3 pa{};
+        for (size_t d = 0; d < 3; ++d) pa[d] = cart[j][d] + ia * l[0][d];
+        for (int ib = b_lo; ib <= b_hi; ++ib) {
+          Vec3 pb{};
+          for (size_t d = 0; d < 3; ++d) pb[d] = pa[d] + ib * l[1][d];
+          for (int ic = c_lo; ic <= c_hi; ++ic) {
             if (i == j && ia == 0 && ib == 0 && ic == 0) continue;
-            Vec3 shifted{};
-            for (int d = 0; d < 3; ++d) {
-              shifted[static_cast<size_t>(d)] =
-                  cart[j][static_cast<size_t>(d)] +
-                  ia * s.lattice[0][static_cast<size_t>(d)] +
-                  ib * s.lattice[1][static_cast<size_t>(d)] +
-                  ic * s.lattice[2][static_cast<size_t>(d)];
-            }
-            const double dx = shifted[0] - cart[i][0];
-            const double dy = shifted[1] - cart[i][1];
-            const double dz = shifted[2] - cart[i][2];
+            const double dx = (pb[0] + ic * l[2][0]) - cart[i][0];
+            const double dy = (pb[1] + ic * l[2][1]) - cart[i][1];
+            const double dz = (pb[2] + ic * l[2][2]) - cart[i][2];
             const double d2 = dx * dx + dy * dy + dz * dz;
             if (d2 <= cutoff_sq) {
               edges.push_back({static_cast<uint32_t>(i),

@@ -22,7 +22,7 @@ using Mat3 = std::array<Vec3, 3>;  ///< rows are lattice vectors a, b, c
 struct Structure {
   std::string id;
   Mat3 lattice{};
-  std::vector<Vec3> frac_coords;   ///< in [0, 1)^3
+  std::vector<Vec3> frac_coords;   ///< in [0, 1)^3; must be finite
   std::vector<int> atomic_numbers; ///< Z per site
   double energy_per_atom = 0;      ///< DFT-like label
   int space_group_class = 0;       ///< coarse class label for balance tests
@@ -46,7 +46,10 @@ struct Neighbor {
 /// All pairs within `cutoff` under periodic boundary conditions. The image
 /// search range is derived from the cell geometry, so cutoffs larger than
 /// the cell are handled correctly (multiple images of the same pair).
-/// Self-pairs appear only through non-zero images.
+/// Self-pairs appear only through non-zero images. Edges come out ordered
+/// by (src, dst, image a, image b, image c). kInvalidArgument for an
+/// invalid structure, a non-finite or non-positive cutoff, or a cutoff
+/// that needs more than 127 images along an axis (the range of `image`).
 Result<std::vector<Neighbor>> BuildNeighborList(const Structure& s,
                                                 double cutoff);
 

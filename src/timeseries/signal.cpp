@@ -209,39 +209,42 @@ Result<NDArray> WindowFeatures(const NDArray& windows, double dt) {
   if (window < 2) return InvalidArgument("WindowFeatures: window too short");
   NDArray out =
       NDArray::Zeros({n, channels * kFeaturesPerChannel}, DType::kF64);
-  for (size_t w = 0; w < n; ++w) {
-    for (size_t c = 0; c < channels; ++c) {
-      double sum = 0, sum_sq = 0;
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -mn;
-      double dsum = 0, dmax = 0;
-      for (size_t k = 0; k < window; ++k) {
-        const double x = windows.GetAsDouble((w * channels + c) * window + k);
-        sum += x;
-        sum_sq += x * x;
-        mn = std::min(mn, x);
-        mx = std::max(mx, x);
-        if (k > 0) {
-          const double prev =
-              windows.GetAsDouble((w * channels + c) * window + k - 1);
-          const double d = std::fabs(x - prev) / dt;
-          dsum += d;
-          dmax = std::max(dmax, d);
+  double* dst = out.data<double>();
+  const NDArray in = windows.IsContiguous() ? windows : windows.AsContiguous();
+  VisitDType(in.dtype(), [&](auto tag) {
+    const auto src = in.span<decltype(tag)>();
+    for (size_t w = 0; w < n; ++w) {
+      for (size_t c = 0; c < channels; ++c) {
+        const auto row = src.subspan((w * channels + c) * window, window);
+        double sum = 0, sum_sq = 0;
+        double mn = std::numeric_limits<double>::infinity();
+        double mx = -mn;
+        double dsum = 0, dmax = 0;
+        for (size_t k = 0; k < window; ++k) {
+          const double x = ToDouble(row[k]);
+          sum += x;
+          sum_sq += x * x;
+          mn = std::min(mn, x);
+          mx = std::max(mx, x);
+          if (k > 0) {
+            const double d = std::fabs(x - ToDouble(row[k - 1])) / dt;
+            dsum += d;
+            dmax = std::max(dmax, d);
+          }
         }
+        const double mean = sum / static_cast<double>(window);
+        const double var =
+            std::max(0.0, sum_sq / static_cast<double>(window) - mean * mean);
+        double* f = dst + (w * channels + c) * kFeaturesPerChannel;
+        f[0] = mean;
+        f[1] = std::sqrt(var);
+        f[2] = mn;
+        f[3] = mx;
+        f[4] = dsum / static_cast<double>(window - 1);
+        f[5] = dmax;
       }
-      const double mean = sum / static_cast<double>(window);
-      const double var =
-          std::max(0.0, sum_sq / static_cast<double>(window) - mean * mean);
-      const size_t base = w * channels * kFeaturesPerChannel +
-                          c * kFeaturesPerChannel;
-      out.SetFromDouble(base + 0, mean);
-      out.SetFromDouble(base + 1, std::sqrt(var));
-      out.SetFromDouble(base + 2, mn);
-      out.SetFromDouble(base + 3, mx);
-      out.SetFromDouble(base + 4, dsum / static_cast<double>(window - 1));
-      out.SetFromDouble(base + 5, dmax);
     }
-  }
+  });
   return out;
 }
 

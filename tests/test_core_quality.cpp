@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "common/hash.hpp"
 #include "core/datasheet.hpp"
 #include "core/quality.hpp"
 
@@ -42,9 +44,82 @@ TEST(Quality, DetectsDuplicates) {
   examples.push_back(MakeExample("b", 1.0, 0));   // duplicate payload of #0
   const QualityReport report = AssessQuality(examples);
   EXPECT_EQ(report.duplicate_keys, 1u);
-  // Payload duplicates: example 1 has value 2.0+label0? No — payload 2.0
-  // differs; example 2's feature bytes match example 0's.
-  EXPECT_GE(report.duplicate_payloads, 1u);
+  // Example 1's payload (2.0) differs from example 0's; example 2's feature
+  // bytes (1.0, label 0) match example 0's exactly.
+  EXPECT_EQ(report.duplicate_payloads, 1u);
+}
+
+shard::Example MakeBitsExample(const std::string& key, uint64_t bits) {
+  shard::Example ex;
+  ex.key = key;
+  ex.features["x"] =
+      NDArray::FromVector<int64_t>({static_cast<int64_t>(bits)});
+  return ex;
+}
+
+TEST(Quality, HashCollisionIsNotADuplicate) {
+  // Two distinct 8-byte payloads with the same CRC-32, found once by a
+  // seeded birthday search over random 64-bit words.
+  const shard::Example a = MakeBitsExample("a", 0xd6464fecc193fb06ull);
+  const shard::Example b = MakeBitsExample("b", 0x66c5acb702741e63ull);
+  const auto ra = a.features.at("x").raw_bytes();
+  const auto rb = b.features.at("x").raw_bytes();
+  ASSERT_EQ(ra.size(), rb.size());
+  ASSERT_NE(std::memcmp(ra.data(), rb.data(), ra.size()), 0);
+  ASSERT_EQ(Crc32(ra), Crc32(rb));
+  ASSERT_EQ(Crc32(ra), 0xa44fb654u);
+
+  const std::vector<shard::Example> pair = {a, b};
+  EXPECT_EQ(AssessQuality(pair).duplicate_payloads, 0u);
+  // A true copy of either one still counts, behind the colliding key.
+  const std::vector<shard::Example> with_copy = {
+      a, b, MakeBitsExample("c", 0x66c5acb702741e63ull)};
+  EXPECT_EQ(AssessQuality(with_copy).duplicate_payloads, 1u);
+}
+
+TEST(Quality, NonContiguousFeatureEqualsItsContiguousCopy) {
+  NDArray base = NDArray::Zeros({3, 5}, DType::kF32);
+  for (size_t i = 0; i < base.numel(); ++i) {
+    base.SetFromDouble(i, 0.5 * static_cast<double>(i) - 2.0);
+  }
+  const NDArray view = base.Transpose();
+  ASSERT_FALSE(view.IsContiguous());
+  shard::Example strided;
+  strided.key = "strided";
+  strided.features["x"] = view;
+  shard::Example dense;
+  dense.key = "dense";
+  dense.features["x"] = view.AsContiguous();
+  shard::Example other;
+  other.key = "other";
+  other.features["x"] = base;  // same elements, other order
+  const std::vector<shard::Example> examples = {strided, dense, other};
+  const QualityReport report = AssessQuality(examples);
+  EXPECT_EQ(report.duplicate_payloads, 1u);
+  const FeatureQuality& fq = report.features.at("x");
+  EXPECT_EQ(fq.total_elements, 45u);
+  EXPECT_DOUBLE_EQ(fq.stats.min(), -2.0);
+  EXPECT_DOUBLE_EQ(fq.stats.max(), 5.0);
+}
+
+TEST(Quality, PayloadIsTheFeatureBytesBackToBack) {
+  // Feature names and boundaries are not part of the payload: the same
+  // bytes split differently across features are a duplicate.
+  shard::Example a;
+  a.key = "a";
+  a.features["p"] = NDArray::FromVector<double>({1.0, 2.0});
+  a.features["q"] = NDArray::FromVector<double>({3.0});
+  shard::Example b;
+  b.key = "b";
+  b.features["m"] = NDArray::FromVector<double>({1.0});
+  b.features["n"] = NDArray::Zeros({0}, DType::kF64);
+  b.features["o"] = NDArray::FromVector<double>({2.0, 3.0});
+  shard::Example c;
+  c.key = "c";
+  c.features["p"] = NDArray::FromVector<double>({1.0, 2.0});
+  c.features["q"] = NDArray::FromVector<double>({3.5});
+  const std::vector<shard::Example> examples = {a, b, c};
+  EXPECT_EQ(AssessQuality(examples).duplicate_payloads, 1u);
 }
 
 TEST(Quality, CountsMissingness) {

@@ -2,8 +2,11 @@
 // resampling, alignment, windowing, features.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "timeseries/signal.hpp"
@@ -253,6 +256,88 @@ TEST(WindowFeatures, DerivativeScalesWithDt) {
 TEST(WindowFeatures, RejectsBadShape) {
   EXPECT_FALSE(WindowFeatures(NDArray::Zeros({4, 4}), 1.0).ok());
   EXPECT_FALSE(WindowFeatures(NDArray::Zeros({1, 1, 1}), 1.0).ok());
+}
+
+// ---- typed loop vs the per-element reference ------------------------------
+
+/// WindowFeatures as a GetAsDouble / SetFromDouble loop (what it was
+/// before its typed loop); the typed loop must write these bytes exactly.
+NDArray ScalarWindowFeatures(const NDArray& windows, double dt) {
+  const size_t n = windows.shape()[0];
+  const size_t channels = windows.shape()[1];
+  const size_t window = windows.shape()[2];
+  NDArray out =
+      NDArray::Zeros({n, channels * kFeaturesPerChannel}, DType::kF64);
+  for (size_t w = 0; w < n; ++w) {
+    for (size_t c = 0; c < channels; ++c) {
+      double sum = 0, sum_sq = 0;
+      double mn = std::numeric_limits<double>::infinity();
+      double mx = -mn;
+      double dsum = 0, dmax = 0;
+      for (size_t k = 0; k < window; ++k) {
+        const double x = windows.GetAsDouble((w * channels + c) * window + k);
+        sum += x;
+        sum_sq += x * x;
+        mn = std::min(mn, x);
+        mx = std::max(mx, x);
+        if (k > 0) {
+          const double prev =
+              windows.GetAsDouble((w * channels + c) * window + k - 1);
+          const double d = std::fabs(x - prev) / dt;
+          dsum += d;
+          dmax = std::max(dmax, d);
+        }
+      }
+      const double mean = sum / static_cast<double>(window);
+      const double var =
+          std::max(0.0, sum_sq / static_cast<double>(window) - mean * mean);
+      const size_t base = w * channels * kFeaturesPerChannel +
+                          c * kFeaturesPerChannel;
+      out.SetFromDouble(base + 0, mean);
+      out.SetFromDouble(base + 1, std::sqrt(var));
+      out.SetFromDouble(base + 2, mn);
+      out.SetFromDouble(base + 3, mx);
+      out.SetFromDouble(base + 4, dsum / static_cast<double>(window - 1));
+      out.SetFromDouble(base + 5, dmax);
+    }
+  }
+  return out;
+}
+
+std::vector<std::byte> BytesOf(const NDArray& contiguous) {
+  const auto b = contiguous.raw_bytes();
+  return {b.begin(), b.end()};
+}
+
+TEST(WindowFeatures, TypedLoopMatchesScalarLoop) {
+  // [n, channels, window] windows of a noisy signal; the float copies get
+  // one NaN cell.
+  Rng rng(19);
+  NDArray base = NDArray::Zeros({5, 3, 16}, DType::kF64);
+  for (size_t i = 0; i < base.numel(); ++i) {
+    base.SetFromDouble(i, 40.0 * std::sin(0.3 * static_cast<double>(i)) +
+                              rng.Normal(0, 5));
+  }
+  for (const DType dtype :
+       {DType::kF64, DType::kF32, DType::kF16, DType::kI64}) {
+    NDArray windows = base.Cast(dtype);
+    if (dtype != DType::kI64) windows.SetFromDouble(37, kNaN);
+    const auto typed = WindowFeatures(windows, 0.25);
+    ASSERT_TRUE(typed.ok()) << DTypeName(dtype);
+    EXPECT_EQ(BytesOf(*typed), BytesOf(ScalarWindowFeatures(windows, 0.25)))
+        << DTypeName(dtype);
+  }
+  // Strided views: channels and window swapped back from a [n, window,
+  // channels] layout, and a window slice of every row.
+  const NDArray swapped = base.Transpose(1, 2).AsContiguous().Transpose(1, 2);
+  const NDArray sliced = base.Slice(2, 3, 11);
+  for (const NDArray& view : {swapped, sliced}) {
+    ASSERT_FALSE(view.IsContiguous());
+    const auto typed = WindowFeatures(view, 0.25);
+    ASSERT_TRUE(typed.ok());
+    EXPECT_EQ(BytesOf(*typed), BytesOf(ScalarWindowFeatures(view, 0.25)));
+    EXPECT_EQ(BytesOf(*typed), BytesOf(*WindowFeatures(view.AsContiguous(), 0.25)));
+  }
 }
 
 }  // namespace
