@@ -157,18 +157,26 @@ int Main() {
     bench::Banner("checkpoint overhead (every stage group persisted)");
     std::printf("plain run:        %s\n",
                 HumanDuration(baseline_wall).c_str());
+    const core::PipelineReport& report = result->report;
     std::printf("checkpointed run: %s  (checkpoint file %llu bytes)%s\n",
-                HumanDuration(result->report.total_seconds).c_str(),
+                HumanDuration(report.total_seconds).c_str(),
                 static_cast<unsigned long long>(
                     ckpt_size.ok() ? *ckpt_size : 0),
                 identical ? "" : "  DATASET MISMATCH");
+    std::printf("saves:            %llu, %llu bytes, %s\n",
+                static_cast<unsigned long long>(report.checkpoint_saves),
+                static_cast<unsigned long long>(report.checkpoint_bytes),
+                HumanDuration(report.checkpoint_seconds).c_str());
     std::printf(
         "BENCH {\"bench\":\"fault_recovery\",\"section\":\"checkpoint\","
         "\"plain_wall_s\":%.4f,\"checkpointed_wall_s\":%.4f,"
-        "\"checkpoint_bytes\":%llu,\"identical\":%s}\n",
-        baseline_wall, result->report.total_seconds,
+        "\"checkpoint_bytes\":%llu,\"saves\":%llu,\"save_bytes\":%llu,"
+        "\"save_s\":%.4f,\"identical\":%s}\n",
+        baseline_wall, report.total_seconds,
         static_cast<unsigned long long>(ckpt_size.ok() ? *ckpt_size : 0),
-        identical ? "true" : "false");
+        static_cast<unsigned long long>(report.checkpoint_saves),
+        static_cast<unsigned long long>(report.checkpoint_bytes),
+        report.checkpoint_seconds, identical ? "true" : "false");
   }
 
   // -- section 3: kill mid-pipeline, resume from the last checkpoint -------

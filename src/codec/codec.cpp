@@ -42,46 +42,38 @@ Result<Bytes> Encode(Codec codec, std::span<const std::byte> raw) {
                            " requires size divisible by " +
                            std::to_string(width));
   }
-  ByteWriter w(raw.size() / 2 + 16);
+  if (codec == Codec::kNone) {
+    ByteWriter w(NoneFrameSize(raw.size()));
+    AppendNoneFrame(w, raw);
+    return w.Take();
+  }
+  Bytes packed;
+  switch (codec) {
+    case Codec::kNone: break;
+    case Codec::kRle: packed = RleCompress(raw); break;
+    case Codec::kDeltaI32: packed = DeltaCompressI32(raw); break;
+    case Codec::kDeltaI64: packed = DeltaCompressI64(raw); break;
+    case Codec::kLz: packed = LzCompress(raw); break;
+    case Codec::kXorF32: packed = XorCompressF32(raw); break;
+    case Codec::kXorF64: packed = XorCompressF64(raw); break;
+  }
+  // Sized from the packed payload, so a frame that does not compress never
+  // regrows the buffer.
+  ByteWriter w(1 + ByteWriter::VarU64Size(raw.size()) + packed.size());
   w.PutU8(static_cast<uint8_t>(codec));
   w.PutVarU64(raw.size());
-  switch (codec) {
-    case Codec::kNone: {
-      w.PutRaw(raw);
-      break;
-    }
-    case Codec::kRle: {
-      const Bytes packed = RleCompress(raw);
-      w.PutRaw(packed);
-      break;
-    }
-    case Codec::kDeltaI32: {
-      const Bytes packed = DeltaCompressI32(raw);
-      w.PutRaw(packed);
-      break;
-    }
-    case Codec::kDeltaI64: {
-      const Bytes packed = DeltaCompressI64(raw);
-      w.PutRaw(packed);
-      break;
-    }
-    case Codec::kLz: {
-      const Bytes packed = LzCompress(raw);
-      w.PutRaw(packed);
-      break;
-    }
-    case Codec::kXorF32: {
-      const Bytes packed = XorCompressF32(raw);
-      w.PutRaw(packed);
-      break;
-    }
-    case Codec::kXorF64: {
-      const Bytes packed = XorCompressF64(raw);
-      w.PutRaw(packed);
-      break;
-    }
-  }
+  w.PutRaw(packed);
   return w.Take();
+}
+
+size_t NoneFrameSize(size_t raw_size) {
+  return 1 + ByteWriter::VarU64Size(raw_size) + raw_size;
+}
+
+void AppendNoneFrame(ByteWriter& w, std::span<const std::byte> raw) {
+  w.PutU8(static_cast<uint8_t>(Codec::kNone));
+  w.PutVarU64(raw.size());
+  w.PutRaw(raw);
 }
 
 Result<Codec> PeekCodec(std::span<const std::byte> framed) {

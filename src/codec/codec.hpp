@@ -44,6 +44,12 @@ inline constexpr Codec kAllCodecs[] = {
 /// of the word width (kInvalidArgument otherwise).
 Result<Bytes> Encode(Codec codec, std::span<const std::byte> raw);
 
+/// Size of Encode(kNone, raw) for `raw_size` input bytes.
+size_t NoneFrameSize(size_t raw_size);
+/// Append Encode(kNone, raw)'s bytes to `w` without building the frame in a
+/// buffer of its own.
+void AppendNoneFrame(ByteWriter& w, std::span<const std::byte> raw);
+
 /// Inverse of Encode. Reads the frame header, validates, and reproduces the
 /// original bytes exactly.
 Result<Bytes> Decode(std::span<const std::byte> framed);

@@ -35,6 +35,23 @@ void ByteWriter::PatchU64(size_t offset, uint64_t v) {
   }
 }
 
+void ByteWriter::PatchVarU64(size_t offset, size_t reserved, uint64_t v) {
+  if (offset + reserved > buf_.size()) {
+    throw std::out_of_range("ByteWriter::PatchVarU64 past end");
+  }
+  const size_t width = VarU64Size(v);
+  const auto slot = buf_.begin() + static_cast<ptrdiff_t>(offset);
+  if (width < reserved) {
+    buf_.erase(slot, slot + static_cast<ptrdiff_t>(reserved - width));
+  } else if (width > reserved) {
+    buf_.insert(slot, width - reserved, std::byte{0});
+  }
+  for (size_t i = 0; i + 1 < width; ++i, v >>= 7) {
+    buf_[offset + i] = static_cast<std::byte>((v & 0x7f) | 0x80);
+  }
+  buf_[offset + width - 1] = static_cast<std::byte>(v);
+}
+
 Status ByteReader::GetU8(uint8_t& out) {
   if (remaining() < 1) return DataLoss("byte stream truncated");
   out = static_cast<uint8_t>(data_[pos_++]);

@@ -70,6 +70,28 @@ class ByteWriter {
     PutVarU64(data.size());
     PutRaw(data);
   }
+  /// PutBlob for a blob that `write(*this)` appends in place, so it is never
+  /// built in a buffer of its own. The length prefix is reserved for
+  /// `size_hint` bytes and patched afterwards; a hint whose varint width is
+  /// wrong costs one move of the blob, never different bytes.
+  template <typename Write>
+  void PutBlobWith(uint64_t size_hint, Write&& write) {
+    const size_t at = buf_.size();
+    const size_t reserved = VarU64Size(size_hint);
+    PutZeros(reserved);
+    write(*this);
+    PatchVarU64(at, reserved, buf_.size() - at - reserved);
+  }
+
+  /// `n` zero bytes (placeholders patched later).
+  void PutZeros(size_t n) { buf_.resize(buf_.size() + n); }
+
+  /// Bytes PutVarU64(v) appends.
+  static size_t VarU64Size(uint64_t v) {
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
 
   [[nodiscard]] size_t size() const { return buf_.size(); }
   [[nodiscard]] std::span<const std::byte> bytes() const { return buf_; }
@@ -78,6 +100,10 @@ class ByteWriter {
   /// and CRCs after a section is complete).
   void PatchU32(size_t offset, uint32_t v);
   void PatchU64(size_t offset, uint64_t v);
+  /// Write `v` as a varint into the `reserved` bytes set aside at `offset`.
+  /// When the varint is wider or narrower than that, everything after the
+  /// slot moves so the varint fits exactly.
+  void PatchVarU64(size_t offset, size_t reserved, uint64_t v);
 
   /// Moves the buffer out; the writer is empty afterwards.
   Bytes Take() { return std::move(buf_); }

@@ -6,16 +6,21 @@
 
 namespace drai::container {
 
-RecWriter::RecWriter(std::span<const std::byte> metadata) {
+RecWriter::RecWriter(std::span<const std::byte> metadata, size_t reserve)
+    : writer_(reserve) {
   writer_.PutRaw(kMagic, 4);
   writer_.PutU16(1);  // version
   writer_.PutBlob(metadata);
 }
 
 void RecWriter::Append(std::span<const std::byte> payload) {
-  writer_.PutVarU64(payload.size());
-  writer_.PutU32(Crc32(payload));
-  writer_.PutRaw(payload);
+  AppendWith(payload.size(), [&](ByteWriter& w) { w.PutRaw(payload); });
+}
+
+void RecWriter::Seal(size_t at, size_t reserved) {
+  const size_t start = at + reserved + sizeof(uint32_t);
+  writer_.PatchU32(at + reserved, Crc32(writer_.bytes().subspan(start)));
+  writer_.PatchVarU64(at, reserved, writer_.size() - start);
   ++count_;
 }
 

@@ -21,12 +21,25 @@ namespace drai::container {
 class RecWriter {
  public:
   /// `metadata` is an opaque user blob stored in the header (e.g. a
-  /// serialized schema or normalizer).
-  explicit RecWriter(std::span<const std::byte> metadata = {});
+  /// serialized schema or normalizer). `reserve` is the expected stream
+  /// size, allocated up front.
+  explicit RecWriter(std::span<const std::byte> metadata = {},
+                     size_t reserve = 0);
 
   /// Append one record.
   void Append(std::span<const std::byte> payload);
   void Append(std::string_view payload);
+  /// Append one record whose payload `write(w)` appends to the stream in
+  /// place, so it is never built in a buffer of its own. `size_hint` is
+  /// the expected payload size (see ByteWriter::PutBlobWith).
+  template <typename Write>
+  void AppendWith(uint64_t size_hint, Write&& write) {
+    const size_t at = writer_.size();
+    const size_t reserved = ByteWriter::VarU64Size(size_hint);
+    writer_.PutZeros(reserved + sizeof(uint32_t));  // length, CRC
+    write(writer_);
+    Seal(at, reserved);
+  }
 
   [[nodiscard]] size_t record_count() const { return count_; }
   [[nodiscard]] size_t byte_size() const { return writer_.size(); }
@@ -37,6 +50,10 @@ class RecWriter {
   static constexpr char kMagic[4] = {'R', 'E', 'C', '1'};
 
  private:
+  /// Fill in the length and CRC of the record whose header slot (a
+  /// `reserved`-byte length, then the CRC) starts at `at`.
+  void Seal(size_t at, size_t reserved);
+
   ByteWriter writer_;
   size_t count_ = 0;
 };

@@ -12,10 +12,17 @@ void WriteTensor(ByteWriter& w, const NDArray& array, codec::Codec codec) {
   w.PutVarU64(contiguous.rank());
   for (size_t d : contiguous.shape()) w.PutVarU64(d);
   const auto raw = contiguous.raw_bytes();
-  // Word codecs need aligned sizes; fall back to kNone when incompatible.
-  Result<Bytes> framed = codec::Encode(codec, raw);
-  if (!framed.ok()) framed = codec::Encode(codec::Codec::kNone, raw);
-  w.PutBlob(framed.value());
+  if (codec != codec::Codec::kNone) {
+    // Word codecs need aligned sizes; fall back to kNone when incompatible.
+    if (Result<Bytes> framed = codec::Encode(codec, raw); framed.ok()) {
+      w.PutBlob(*framed);
+      w.PutU32(Crc32(raw));
+      return;
+    }
+  }
+  // The kNone frame goes straight into `w`, with no buffer of its own.
+  w.PutVarU64(codec::NoneFrameSize(raw.size()));
+  codec::AppendNoneFrame(w, raw);
   w.PutU32(Crc32(raw));
 }
 

@@ -93,7 +93,12 @@ Result<timeseries::Signal> ReadSignal(ByteReader& r) {
 }  // namespace
 
 Bytes DataBundle::Serialize() const {
-  ByteWriter w;
+  ByteWriter w(SerializedSizeHint());
+  Serialize(w);
+  return w.Take();
+}
+
+void DataBundle::Serialize(ByteWriter& w) const {
   w.PutU32(kBundleVersion);
   w.PutVarU64(blobs.size());
   for (const auto& [name, b] : blobs) {
@@ -117,13 +122,42 @@ Bytes DataBundle::Serialize() const {
     for (const auto& s : signals) WriteSignal(w, s);
   }
   w.PutVarU64(examples.size());
-  for (const auto& ex : examples) w.PutBlob(ex.Serialize());
+  for (const auto& ex : examples) {
+    w.PutBlobWith(ex.SerializedSizeHint(),
+                  [&](ByteWriter& out) { ex.Serialize(out); });
+  }
   w.PutVarU64(attrs.size());
   for (const auto& [name, v] : attrs) {
     w.PutString(name);
     container::WriteAttr(w, v);
   }
-  return w.Take();
+}
+
+uint64_t DataBundle::SerializedSizeHint() const {
+  // Every name and count is a varint of at most a few bytes; 16 per entry
+  // and 48 per tensor header cover them.
+  uint64_t total = 64;
+  for (const auto& [name, b] : blobs) total += name.size() + b.size() + 16;
+  for (const auto& [name, t] : tensors) total += name.size() + t.nbytes() + 48;
+  for (const auto& [name, table] : tables) {
+    total += name.size() + 16;
+    for (const auto& c : table.columns) total += c.size() + 2;
+    for (const auto& row : table.rows) {
+      total += 2;
+      for (const auto& cell : row) total += cell.size() + 2;
+    }
+  }
+  for (const auto& [name, signals] : signal_sets) {
+    total += name.size() + 16;
+    for (const auto& s : signals) {
+      total += s.name.size() + 8 * (s.t.size() + s.v.size()) + 16;
+    }
+  }
+  for (const auto& ex : examples) total += ex.SerializedSizeHint() + 4;
+  for (const auto& [name, v] : attrs) {
+    total += name.size() + v.s.size() + 8 * v.vec.size() + 16;
+  }
+  return total;
 }
 
 Result<DataBundle> DataBundle::Parse(std::span<const std::byte> bytes) {

@@ -63,6 +63,13 @@ class DataBundle {
   /// bytes. Tensors ride the CRC-checked container encoding; corruption
   /// surfaces as kDataLoss from Parse.
   [[nodiscard]] Bytes Serialize() const;
+  /// Serialize() appended to `w` in place (checkpoint files write the
+  /// bundle straight into the file buffer).
+  void Serialize(ByteWriter& w) const;
+  /// Serialize() size estimate: payload bytes plus names, length prefixes
+  /// and tensor headers. Sizes buffer reservations and in-place length
+  /// prefixes; it need not be exact.
+  [[nodiscard]] uint64_t SerializedSizeHint() const;
   static Result<DataBundle> Parse(std::span<const std::byte> bytes);
 };
 

@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cstdio>
+#include <map>
 
 #include "parallel/striped_store.hpp"
 #include "shard/checkpoint.hpp"
@@ -19,8 +20,7 @@ std::string QuarantineKey(size_t i) {
   return key;
 }
 
-Bytes EncodeQuarantine(const QuarantineRecord& q) {
-  ByteWriter w;
+void EncodeQuarantine(ByteWriter& w, const QuarantineRecord& q) {
   w.PutString(q.stage);
   w.PutVarU64(q.stage_index);
   w.PutVarU64(q.partition);
@@ -32,8 +32,14 @@ Bytes EncodeQuarantine(const QuarantineRecord& q) {
   w.PutVarU64(static_cast<uint64_t>(q.error.code()));
   w.PutString(q.error.message());
   w.PutVarU64(q.units);
-  w.PutBlob(q.slice.Serialize());
-  return w.Take();
+  w.PutBlobWith(q.slice.SerializedSizeHint(),
+                [&](ByteWriter& out) { q.slice.Serialize(out); });
+}
+
+/// EncodeQuarantine's size estimate: ten varints, two strings, the slice.
+uint64_t QuarantineSizeHint(const QuarantineRecord& q) {
+  return q.stage.size() + q.error.message().size() +
+         q.slice.SerializedSizeHint() + 64;
 }
 
 Result<QuarantineRecord> DecodeQuarantine(const Bytes& payload) {
@@ -77,33 +83,52 @@ std::string StoreCheckpointSink::PathFor(const std::string& pipeline) const {
   return directory_ + "/" + pipeline + ".ckpt";
 }
 
-Status StoreCheckpointSink::Save(const PipelineCheckpoint& checkpoint) {
+Status StoreCheckpointSink::Save(const PipelineCheckpoint& checkpoint,
+                                 uint64_t* bytes_written) {
   shard::CheckpointMeta meta;
   meta.pipeline = checkpoint.pipeline;
   meta.run_index = checkpoint.run_index;
   meta.plan_fingerprint = checkpoint.plan_fingerprint;
   meta.stages_done = checkpoint.stages_done;
 
-  std::map<std::string, Bytes> sections;
-  sections["bundle"] = checkpoint.bundle.Serialize();
-  if (!checkpoint.provenance.empty()) {
-    sections["provenance"] = checkpoint.provenance;
+  // Sized so the file is built without regrowing: the header, meta and
+  // each record's name and framing take well under the 256 and 32 bytes.
+  const uint64_t bundle_hint = checkpoint.bundle.SerializedSizeHint();
+  uint64_t file_hint = bundle_hint + checkpoint.provenance.size() + 256;
+  for (const QuarantineRecord& q : checkpoint.quarantined) {
+    file_hint += QuarantineSizeHint(q) + 32;
   }
+  // Sections in ascending name order: bundle, last_state, provenance,
+  // quarantine/NNNN.
+  shard::CheckpointWriter file(meta, file_hint);
+  file.Add("bundle", bundle_hint,
+           [&](ByteWriter& w) { checkpoint.bundle.Serialize(w); });
   if (checkpoint.last_state.has_value()) {
-    ByteWriter w;
-    w.PutU64(static_cast<uint64_t>(*checkpoint.last_state));
-    sections["last_state"] = w.Take();
+    file.Add("last_state", sizeof(uint64_t), [&](ByteWriter& w) {
+      w.PutU64(static_cast<uint64_t>(*checkpoint.last_state));
+    });
   }
+  if (!checkpoint.provenance.empty()) {
+    file.Add("provenance", checkpoint.provenance);
+  }
+  // In key order, which is index order below 10000 quarantined slices.
+  std::map<std::string, const QuarantineRecord*> quarantine;
   for (size_t i = 0; i < checkpoint.quarantined.size(); ++i) {
-    sections[QuarantineKey(i)] = EncodeQuarantine(checkpoint.quarantined[i]);
+    quarantine.emplace(QuarantineKey(i), &checkpoint.quarantined[i]);
+  }
+  for (const auto& [key, q] : quarantine) {
+    file.Add(key, QuarantineSizeHint(*q),
+             [&](ByteWriter& w) { EncodeQuarantine(w, *q); });
   }
 
-  const Bytes file = shard::EncodeCheckpoint(meta, sections);
-  const std::string path = PathFor(checkpoint.pipeline);
-  // Create truncates: the new checkpoint replaces the previous one whole,
-  // so a reader never sees a mix of two saves.
-  DRAI_RETURN_IF_ERROR(store_.Create(path));
-  return store_.Write(path, 0, file);
+  Bytes bytes = file.Finish();
+  const uint64_t size = bytes.size();
+  // Replace swaps the new checkpoint in whole, or not at all: a reader never
+  // sees a mix of two saves, and a refused save keeps the previous one.
+  DRAI_RETURN_IF_ERROR(
+      store_.Replace(PathFor(checkpoint.pipeline), std::move(bytes)));
+  if (bytes_written != nullptr) *bytes_written = size;
+  return Status::Ok();
 }
 
 Result<std::optional<PipelineCheckpoint>> StoreCheckpointSink::LoadLatest(

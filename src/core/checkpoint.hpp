@@ -49,24 +49,31 @@ struct PipelineCheckpoint {
   std::vector<QuarantineRecord> quarantined;
 };
 
-/// Where checkpoints go. Save replaces the pipeline's previous checkpoint;
+/// Where checkpoints go. Save replaces the pipeline's previous checkpoint
+/// and, when `bytes_written` is set, stores the size of what it wrote there;
 /// LoadLatest returns nullopt when none exists yet.
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
-  virtual Status Save(const PipelineCheckpoint& checkpoint) = 0;
+  virtual Status Save(const PipelineCheckpoint& checkpoint,
+                      uint64_t* bytes_written = nullptr) = 0;
   virtual Result<std::optional<PipelineCheckpoint>> LoadLatest(
       const std::string& pipeline) = 0;
 };
 
 /// CheckpointSink over the simulated parallel filesystem, one file per
 /// pipeline under `directory`, in the shard/checkpoint.hpp container
-/// format. A torn or corrupted file surfaces as kDataLoss from LoadLatest.
+/// format. Save serializes the checkpoint once, straight into the buffer
+/// that becomes the file, and swaps it in with one all-or-nothing
+/// StripedStore::Replace: a save the store refuses leaves the previous
+/// checkpoint whole. A torn or corrupted file surfaces as kDataLoss from
+/// LoadLatest.
 class StoreCheckpointSink final : public CheckpointSink {
  public:
   StoreCheckpointSink(par::StripedStore& store, std::string directory);
 
-  Status Save(const PipelineCheckpoint& checkpoint) override;
+  Status Save(const PipelineCheckpoint& checkpoint,
+              uint64_t* bytes_written = nullptr) override;
   Result<std::optional<PipelineCheckpoint>> LoadLatest(
       const std::string& pipeline) override;
 

@@ -86,6 +86,16 @@ std::string PipelineReport::TimeBreakdown() const {
                   overlap_windows == 1 ? "" : "s", overlap_seconds_saved);
     out += buf;
   }
+  if (checkpoint_saves > 0) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  " || checkpoints: %llu save%s, %.2f MB, %.1f ms",
+                  static_cast<unsigned long long>(checkpoint_saves),
+                  checkpoint_saves == 1 ? "" : "s",
+                  static_cast<double>(checkpoint_bytes) / 1e6,
+                  checkpoint_seconds * 1e3);
+    out += buf;
+  }
   return out;
 }
 
@@ -453,6 +463,52 @@ struct AttemptRunner {
   }
 };
 
+// Save the restart state after `stages_done` plan stages and tally the save
+// in the report. The bundle and the quarantine list move into the checkpoint
+// for the save and back out after it, even if Save throws: copying them
+// would duplicate every blob and slice on every save. Quarantined slices
+// travel with every checkpoint, so whichever save the run dies after still
+// lets Resume re-admit the dropped records.
+Status SaveCheckpoint(const PipelinePlan& plan, size_t stages_done,
+                      DataBundle& bundle, const ExecutorRunScope& scope,
+                      PipelineReport& report) {
+  const WallTimer timer;
+  PipelineCheckpoint cp;
+  cp.pipeline = scope.pipeline_name;
+  cp.run_index = scope.run_index;
+  cp.plan_fingerprint = plan.Fingerprint();
+  cp.stages_done = stages_done;
+  if (scope.provenance != nullptr) {
+    cp.provenance = scope.provenance->Serialize();
+  }
+  if (scope.last_state != nullptr && scope.last_state->has_value()) {
+    cp.last_state = **scope.last_state;
+  }
+  cp.bundle = std::move(bundle);
+  cp.quarantined = std::move(report.quarantined);
+  struct MoveBack {
+    PipelineCheckpoint& cp;
+    DataBundle& bundle;
+    PipelineReport& report;
+    ~MoveBack() {
+      bundle = std::move(cp.bundle);
+      report.quarantined = std::move(cp.quarantined);
+    }
+  };
+  uint64_t bytes = 0;
+  Status saved;
+  {
+    const MoveBack move_back{cp, bundle, report};
+    saved = scope.checkpoint->Save(cp, &bytes);
+  }
+  report.checkpoint_seconds += timer.Seconds();
+  if (saved.ok()) {
+    report.checkpoint_saves += 1;
+    report.checkpoint_bytes += bytes;
+  }
+  return saved;
+}
+
 }  // namespace
 
 std::vector<OverlapWindow> ComputeOverlapWindows(
@@ -567,22 +623,8 @@ PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
     }
     i = window->last;
     if (scope.checkpoint != nullptr) {
-      PipelineCheckpoint cp;
-      cp.pipeline = scope.pipeline_name;
-      cp.run_index = scope.run_index;
-      cp.plan_fingerprint = plan.Fingerprint();
-      cp.stages_done = i;
-      cp.bundle = bundle;
-      if (scope.provenance != nullptr) {
-        cp.provenance = scope.provenance->Serialize();
-      }
-      if (scope.last_state != nullptr && scope.last_state->has_value()) {
-        cp.last_state = **scope.last_state;
-      }
-      // Quarantined slices travel with every checkpoint, so whichever save
-      // the run dies after still lets Resume re-admit the dropped records.
-      cp.quarantined = report.quarantined;
-      if (Status saved = scope.checkpoint->Save(cp); !saved.ok()) {
+      if (Status saved = SaveCheckpoint(plan, i, bundle, scope, report);
+          !saved.ok()) {
         report.ok = false;
         report.error = Status(saved.code(),
                               "checkpoint after stage " + std::to_string(i) +

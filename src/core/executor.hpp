@@ -114,11 +114,18 @@ struct PipelineReport {
   /// barriered run would also pay is not credited).
   uint64_t overlap_windows = 0;
   double overlap_seconds_saved = 0;
+  /// Stage checkpoints saved (one per completed stage group when the run
+  /// has a CheckpointSink), the file bytes they wrote, and the wall seconds
+  /// the saves took, building the checkpoint and failed saves included.
+  uint64_t checkpoint_saves = 0;
+  uint64_t checkpoint_bytes = 0;
+  double checkpoint_seconds = 0;
 
   [[nodiscard]] double SecondsIn(StageKind kind) const;
   /// "ingest 12% | preprocess 55% | ..." — the §3.2 curation-time story —
   /// followed by per-stage partition skew (max/median partition seconds)
-  /// for every parallel stage that recorded partition timings.
+  /// for every parallel stage that recorded partition timings, and by the
+  /// checkpoint saves when there were any.
   [[nodiscard]] std::string TimeBreakdown() const;
 };
 

@@ -60,14 +60,36 @@ double StripedStore::ChargeOp(uint64_t offset, uint64_t n, int stripe_count,
   return delay;
 }
 
-Status StripedStore::Create(const std::string& path, int stripe_count) {
-  std::lock_guard<std::mutex> lock(mutex_);
+StripedStore::File StripedStore::NewFileLocked(int stripe_count) {
   File f;
   f.stripe_count = stripe_count > 0
                        ? std::clamp(stripe_count, 1, config_.num_osts)
                        : config_.default_stripe_count;
   f.ost_offset = next_ost_offset_++ % config_.num_osts;
-  files_[path] = std::move(f);
+  return f;
+}
+
+Status StripedStore::Create(const std::string& path, int stripe_count) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  files_[path] = NewFileLocked(stripe_count);
+  return Status::Ok();
+}
+
+Status StripedStore::Replace(const std::string& path, Bytes data) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = files_.find(path);
+  if (config_.capacity_bytes != 0) {
+    const uint64_t old = it == files_.end() ? 0 : it->second.data.size();
+    if (UsedBytesLocked() - old + data.size() > config_.capacity_bytes) {
+      return ResourceExhausted("StripedStore capacity exceeded");
+    }
+  }
+  File f = NewFileLocked(0);
+  f.data = std::move(data);
+  stats_.bytes_written += f.data.size();
+  stats_.write_ops += 1;
+  ChargeOp(0, f.data.size(), f.stripe_count, f.ost_offset);
+  files_.insert_or_assign(path, std::move(f));
   return Status::Ok();
 }
 
@@ -77,10 +99,7 @@ Status StripedStore::Write(const std::string& path, uint64_t offset,
   auto it = files_.find(path);
   if (it == files_.end()) {
     // Implicit create with default striping, like open(O_CREAT).
-    File f;
-    f.stripe_count = config_.default_stripe_count;
-    f.ost_offset = next_ost_offset_++ % config_.num_osts;
-    it = files_.emplace(path, std::move(f)).first;
+    it = files_.emplace(path, NewFileLocked(0)).first;
   }
   File& f = it->second;
   const uint64_t end = offset + data.size();

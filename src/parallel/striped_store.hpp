@@ -61,6 +61,12 @@ class StripedStore {
   /// Write `data` at `offset`, extending the file as needed.
   Status Write(const std::string& path, uint64_t offset,
                std::span<const std::byte> data);
+  /// Replace the file's contents with `data`, recreating the file with
+  /// default striping; the file takes the buffer over without copying it.
+  /// All or nothing: when the new contents do not fit (used - old + new >
+  /// capacity), the old contents stay as they were. Counted and charged
+  /// exactly like Create followed by one Write of the whole buffer.
+  Status Replace(const std::string& path, Bytes data);
   /// Append at current EOF; returns the offset written at.
   Result<uint64_t> Append(const std::string& path,
                           std::span<const std::byte> data);
@@ -94,6 +100,10 @@ class StripedStore {
   /// OSTs starting at byte `offset`; returns op completion delay.
   double ChargeOp(uint64_t offset, uint64_t n, int stripe_count,
                   int ost_offset);
+
+  /// A new, empty file on the next OST in rotation (stripe_count 0 = the
+  /// default); caller must hold mutex_.
+  File NewFileLocked(int stripe_count);
 
   /// Sum of file sizes; caller must hold mutex_.
   [[nodiscard]] uint64_t UsedBytesLocked() const;

@@ -1,6 +1,6 @@
 #include "shard/checkpoint.hpp"
 
-#include "container/recio.hpp"
+#include <stdexcept>
 
 namespace drai::shard {
 
@@ -36,16 +36,32 @@ Result<CheckpointMeta> DecodeMeta(std::span<const std::byte> bytes) {
 
 }  // namespace
 
+CheckpointWriter::CheckpointWriter(const CheckpointMeta& meta,
+                                   size_t size_hint)
+    : records_(EncodeMeta(meta), size_hint) {}
+
+void CheckpointWriter::Add(std::string_view name,
+                           std::span<const std::byte> payload) {
+  Add(name, payload.size(), [&](ByteWriter& w) { w.PutRaw(payload); });
+}
+
+void CheckpointWriter::CheckOrder(std::string_view name) {
+  if (last_.has_value() && name <= *last_) {
+    throw std::invalid_argument("checkpoint section '" + std::string(name) +
+                                "' is out of order");
+  }
+  last_ = std::string(name);
+}
+
 Bytes EncodeCheckpoint(const CheckpointMeta& meta,
                        const std::map<std::string, Bytes>& sections) {
-  const Bytes meta_bytes = EncodeMeta(meta);
-  container::RecWriter writer(meta_bytes);
+  size_t size_hint = 64;
+  for (const auto& [name, payload] : sections) {
+    size_hint += name.size() + payload.size() + 24;
+  }
+  CheckpointWriter writer(meta, size_hint);
   for (const auto& [name, payload] : sections) {  // std::map: ascending
-    ByteWriter rec;
-    rec.PutString(name);
-    rec.PutBlob(payload);
-    const Bytes record = rec.Take();
-    writer.Append(std::span<const std::byte>(record));
+    writer.Add(name, payload);
   }
   return writer.Finish();
 }

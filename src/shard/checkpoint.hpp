@@ -11,11 +11,14 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "container/recio.hpp"
 
 namespace drai::shard {
 
@@ -33,6 +36,41 @@ struct CheckpointMeta {
 struct CheckpointFile {
   CheckpointMeta meta;
   std::map<std::string, Bytes> sections;
+};
+
+/// Builds a checkpoint file in one buffer. Each section's payload is
+/// written straight into the file, so a multi-megabyte bundle is serialized
+/// once and never copied. Sections go in strictly ascending name order, the
+/// order EncodeCheckpoint writes, so equal inputs give equal files.
+class CheckpointWriter {
+ public:
+  /// `size_hint` is the expected file size, allocated up front.
+  CheckpointWriter(const CheckpointMeta& meta, size_t size_hint);
+
+  /// Append section `name`, whose payload `write(w)` appends to `w`;
+  /// `size_hint` is the payload's expected size.
+  template <typename Write>
+  void Add(std::string_view name, uint64_t size_hint, Write&& write) {
+    CheckOrder(name);
+    const uint64_t record_hint = ByteWriter::VarU64Size(name.size()) +
+                                 name.size() +
+                                 ByteWriter::VarU64Size(size_hint) + size_hint;
+    records_.AppendWith(record_hint, [&](ByteWriter& w) {
+      w.PutString(name);
+      w.PutBlobWith(size_hint, write);
+    });
+  }
+  void Add(std::string_view name, std::span<const std::byte> payload);
+
+  /// The finished file.
+  Bytes Finish() { return records_.Finish(); }
+
+ private:
+  /// Throws std::invalid_argument unless `name` sorts after the last one.
+  void CheckOrder(std::string_view name);
+
+  container::RecWriter records_;
+  std::optional<std::string> last_;
 };
 
 /// Serialize a checkpoint. Sections are written in ascending name order so

@@ -29,15 +29,27 @@ size_t Example::PayloadBytes() const {
   return total;
 }
 
+size_t Example::SerializedSizeHint() const {
+  // A tensor header (dtype, rank, dims, frame prefix, CRC) stays well
+  // under 48 bytes for the ranks examples carry.
+  size_t total = key.size() + 16;
+  for (const auto& [name, t] : features) total += name.size() + t.nbytes() + 48;
+  return total;
+}
+
 Bytes Example::Serialize(codec::Codec codec) const {
-  ByteWriter w;
+  ByteWriter w(SerializedSizeHint());
+  Serialize(w, codec);
+  return w.Take();
+}
+
+void Example::Serialize(ByteWriter& w, codec::Codec codec) const {
   w.PutString(key);
   w.PutVarU64(features.size());
   for (const auto& [name, tensor] : features) {
     w.PutString(name);
     container::WriteTensor(w, tensor, codec);
   }
-  return w.Take();
 }
 
 Result<Example> Example::Parse(std::span<const std::byte> bytes) {

@@ -29,7 +29,13 @@ struct Example {
   /// Total feature payload bytes (uncompressed).
   [[nodiscard]] size_t PayloadBytes() const;
 
+  /// Serialize() size estimate: the payload plus names and tensor headers.
+  /// Sizes buffer reservations and in-place length prefixes.
+  [[nodiscard]] size_t SerializedSizeHint() const;
+
   [[nodiscard]] Bytes Serialize(codec::Codec codec = codec::Codec::kNone) const;
+  /// Serialize() appended to `w` in place.
+  void Serialize(ByteWriter& w, codec::Codec codec = codec::Codec::kNone) const;
   static Result<Example> Parse(std::span<const std::byte> bytes);
 };
 

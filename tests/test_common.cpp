@@ -196,6 +196,26 @@ TEST(Bytes, PatchU32) {
   EXPECT_EQ(b, 99u);
 }
 
+TEST(Bytes, PutBlobWithMatchesPutBlobWhateverTheHint) {
+  // Blob sizes on both sides of the one- and two-byte varint boundaries,
+  // against hints that are exact, too small and too large.
+  for (size_t n : {0u, 5u, 127u, 128u, 300u, 16383u, 16384u}) {
+    const Bytes blob(n, std::byte{0x5A});
+    ByteWriter expected;
+    expected.PutU8(7);
+    expected.PutBlob(blob);
+    expected.PutU8(9);
+    const Bytes want = expected.Take();
+    for (uint64_t hint : {uint64_t{0}, uint64_t{n}, uint64_t{1} << 40}) {
+      ByteWriter w;
+      w.PutU8(7);
+      w.PutBlobWith(hint, [&](ByteWriter& out) { out.PutRaw(blob); });
+      w.PutU8(9);
+      EXPECT_EQ(w.Take(), want) << n << " " << hint;
+    }
+  }
+}
+
 TEST(Bytes, PatchPastEndThrows) {
   ByteWriter w;
   w.PutU16(1);

@@ -226,6 +226,23 @@ TEST(Recio, RecordStreamRoundTrip) {
   EXPECT_EQ(BytesToString((*all)[2]), "");
 }
 
+TEST(Recio, AppendWithMatchesAppendWhateverTheHint) {
+  const std::string big(200, 'r');  // two-byte varint length
+  RecWriter expected(ToBytes("meta"));
+  expected.Append("small");
+  expected.Append(big);
+  const Bytes want = expected.Finish();
+  for (uint64_t hint : {uint64_t{0}, uint64_t{200}, uint64_t{1} << 30}) {
+    RecWriter w(ToBytes("meta"), 16);
+    w.AppendWith(hint, [](ByteWriter& out) { out.PutRaw("small", 5); });
+    w.AppendWith(hint, [&](ByteWriter& out) {
+      out.PutRaw(big.data(), big.size());
+    });
+    EXPECT_EQ(w.record_count(), 2u);
+    EXPECT_EQ(w.Finish(), want) << hint;
+  }
+}
+
 TEST(Recio, EmptyStream) {
   RecWriter w;
   const Bytes file = w.Finish();

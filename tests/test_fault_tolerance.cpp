@@ -436,6 +436,27 @@ TEST(CheckpointFormat, CorruptionIsDataLoss) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(CheckpointFormat, WriterMatchesEncodeCheckpoint) {
+  shard::CheckpointMeta meta;
+  meta.pipeline = "p";
+  std::map<std::string, Bytes> sections;
+  sections["a"] = Bytes(200, std::byte{1});
+  sections["b"] = ToBytes("bee");
+  // Hints whose varint widths are wrong either way move the payload into
+  // place; the bytes do not change.
+  shard::CheckpointWriter writer(meta, 0);
+  writer.Add("a", 5, [&](ByteWriter& w) { w.PutRaw(sections["a"]); });
+  writer.Add("b", 1 << 20, [&](ByteWriter& w) { w.PutRaw(sections["b"]); });
+  EXPECT_EQ(writer.Finish(), shard::EncodeCheckpoint(meta, sections));
+}
+
+TEST(CheckpointFormat, WriterRejectsOutOfOrderSections) {
+  shard::CheckpointWriter writer(shard::CheckpointMeta{}, 0);
+  writer.Add("b", ToBytes("x"));
+  EXPECT_THROW(writer.Add("a", ToBytes("y")), std::invalid_argument);
+  EXPECT_THROW(writer.Add("b", ToBytes("y")), std::invalid_argument);
+}
+
 TEST(DataBundle, SerializeParseRoundTripAllCollections) {
   DataBundle bundle;
   bundle.blobs["raw"] = ToBytes("blob-bytes");
@@ -517,6 +538,93 @@ TEST(Checkpoint, CorruptFileSurfacesAsDataLoss) {
   const auto loaded = sink.LoadLatest("demo");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(Checkpoint, RefusedSaveKeepsPreviousCheckpoint) {
+  par::StripedStoreConfig config;
+  config.capacity_bytes = 4000;
+  par::StripedStore store(config);
+  StoreCheckpointSink sink(store, "/ckpt");
+
+  PipelineCheckpoint small;
+  small.pipeline = "demo";
+  small.stages_done = 1;
+  small.bundle.blobs["payload"] = Bytes(1000, std::byte{0x11});
+  ASSERT_TRUE(sink.Save(small).ok());
+  const uint64_t used = store.UsedBytes();
+  const par::StripedStoreStats before = store.stats();
+
+  PipelineCheckpoint big = small;
+  big.stages_done = 2;
+  big.bundle.blobs["payload"] = Bytes(5000, std::byte{0x22});
+  const Status refused = sink.Save(big);
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  // Nothing happened: same bytes stored, no write counted or charged.
+  EXPECT_EQ(store.UsedBytes(), used);
+  EXPECT_EQ(store.stats().bytes_written, before.bytes_written);
+  EXPECT_EQ(store.stats().write_ops, before.write_ops);
+
+  auto loaded = sink.LoadLatest("demo");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->has_value());
+  EXPECT_EQ((*loaded)->stages_done, 1u);
+  EXPECT_EQ((*loaded)->bundle.blobs.at("payload"), small.bundle.blobs.at("payload"));
+}
+
+TEST(Resume, ResumesFromTheCheckpointBeforeARefusedSave) {
+  TestPipeline plain;
+  const Bytes ref_bytes = RunToBytes(plain);
+
+  par::StripedStoreConfig config;
+  config.capacity_bytes = 1 << 20;
+  par::StripedStore store(config);
+  StoreCheckpointSink sink(store, "/ckpt");
+  TestPipeline killed;
+  killed.checkpoint = &sink;
+  killed.die = true;
+  Pipeline killed_pipeline = MakePipeline(killed);
+  DataBundle killed_bundle;
+  EXPECT_FALSE(killed_pipeline.Run(killed_bundle).ok);
+
+  // A later save under the same name that does not fit is refused whole.
+  PipelineCheckpoint oversize;
+  oversize.pipeline = "fault-drill";
+  oversize.bundle.blobs["huge"] = Bytes(2 << 20, std::byte{0x33});
+  EXPECT_EQ(sink.Save(oversize).code(), StatusCode::kResourceExhausted);
+
+  TestPipeline resumed;
+  resumed.checkpoint = &sink;
+  Pipeline resumed_pipeline = MakePipeline(resumed);
+  DataBundle resumed_bundle;
+  const PipelineReport report = resumed_pipeline.Resume(resumed_bundle);
+  ASSERT_TRUE(report.ok) << report.error.ToString();
+  ASSERT_EQ(report.stages.size(), 2u);
+  EXPECT_EQ(report.stages[0].name, "gate");
+  EXPECT_EQ(resumed_bundle.Serialize(), ref_bytes);
+}
+
+TEST(Checkpoint, ReportCountsEverySave) {
+  // Checkpoints go to a store of their own, so its bytes_written is exactly
+  // what the saves wrote.
+  par::StripedStore store;
+  StoreCheckpointSink sink(store, "/ckpt");
+  TestPipeline cfg;
+  cfg.checkpoint = &sink;
+  PipelineReport report;
+  RunToBytes(cfg, &report);
+  // make | salt | gate | tag: four stage groups, one save after each.
+  EXPECT_EQ(report.checkpoint_saves, 4u);
+  EXPECT_EQ(report.checkpoint_bytes, store.stats().bytes_written);
+  EXPECT_GT(report.checkpoint_seconds, 0.0);
+  EXPECT_NE(report.TimeBreakdown().find("checkpoints: 4 saves"),
+            std::string::npos);
+
+  TestPipeline plain;
+  PipelineReport unsaved;
+  RunToBytes(plain, &unsaved);
+  EXPECT_EQ(unsaved.checkpoint_saves, 0u);
+  EXPECT_EQ(unsaved.checkpoint_bytes, 0u);
+  EXPECT_EQ(unsaved.TimeBreakdown().find("checkpoints"), std::string::npos);
 }
 
 TEST(Resume, KilledRunResumesToIdenticalResults) {

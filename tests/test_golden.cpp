@@ -9,7 +9,9 @@
 //   * the dataset and provenance record of all four archetypes at small
 //     sizes, each under {thread x1, thread x4, spmd x4, spmd x4 + 1%
 //     injected faults};
-//   * the `bench_parallel_pipeline` seed workload (59d678.../c7251b...).
+//   * the `bench_parallel_pipeline` seed workload (59d678.../c7251b...);
+//   * the checkpoint container, and a StoreCheckpointSink file with the
+//     striped-store statistics its saves leave behind.
 //
 // A change that moves any output byte fails here and names the cell. A
 // change that is meant to move bytes re-pins these digests explicitly, in
@@ -28,6 +30,7 @@
 
 #include "bench_util.hpp"
 #include "common/hash.hpp"
+#include "core/checkpoint.hpp"
 #include "domains/bio.hpp"
 #include "domains/climate.hpp"
 #include "domains/fusion.hpp"
@@ -35,6 +38,7 @@
 #include "grid/latlon.hpp"
 #include "ndarray/kernels.hpp"
 #include "parallel/striped_store.hpp"
+#include "shard/checkpoint.hpp"
 #include "workloads/climate.hpp"
 
 namespace drai {
@@ -303,6 +307,127 @@ TEST(Golden, ParallelPipelineBenchWorkload) {
             "59d678acdd4afebe9a5d1e0981bc76d07d9025fff24668ce6e51ed19ccd0e108");
   EXPECT_EQ(run.provenance_hash,
             "c7251b120432ef2d8aec1bbbc5a5665663b4014fbaa9223dc6fe46b9eda58ea9");
+}
+
+// ---- checkpoint files -----------------------------------------------------
+// Checkpoint bytes involve no libm, so these pins hold on every platform.
+
+Bytes Pattern(size_t n, uint8_t salt) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::byte>((i * 31 + salt) & 0xff);
+  }
+  return b;
+}
+
+TEST(Golden, CheckpointContainer) {
+  shard::CheckpointMeta meta;
+  meta.pipeline = "golden";
+  meta.run_index = 7;
+  meta.plan_fingerprint = "fp-0123456789abcdef";
+  meta.stages_done = 3;
+  std::map<std::string, Bytes> sections;
+  sections["bundle"] = Pattern(300, 1);  // two-byte varint lengths
+  sections["empty"] = {};
+  sections["quarantine/0000"] = Pattern(17, 2);
+  const Bytes file = shard::EncodeCheckpoint(meta, sections);
+  EXPECT_EQ(file.size(), 420u);
+  EXPECT_EQ(HexOf(file),
+            "ee96b6b4efc50efac4c1556a997996f67069960ca15e85ebb260d93066ed77e3");
+}
+
+// Every bundle collection, tensors of four dtypes (a strided view and an
+// empty one among them), provenance, the lineage cursor and a quarantined
+// slice.
+core::PipelineCheckpoint GoldenCheckpoint() {
+  core::PipelineCheckpoint cp;
+  cp.pipeline = "golden";
+  cp.run_index = 2;
+  cp.plan_fingerprint = "fp-golden";
+  cp.stages_done = 4;
+  cp.provenance = Pattern(150, 3);
+  cp.last_state = 9;
+
+  core::DataBundle& b = cp.bundle;
+  b.blobs["raw"] = Pattern(200, 4);
+  b.blobs["tiny"] = ToBytes("abc");
+  std::vector<double> f64(12);
+  for (size_t i = 0; i < f64.size(); ++i) f64[i] = 0.5 * static_cast<double>(i) - 2.0;
+  b.tensors["f64"] = NDArray::FromVector<double>({3, 4}, f64);
+  b.tensors["f32"] =
+      NDArray::FromVector<float>({5}, {1.5f, -2.25f, 0.0f, 1e-3f, 3e4f});
+  b.tensors["i64"] = NDArray::FromVector<int64_t>(
+      {2, 2}, {-3, 0, int64_t{1} << 40, 7});
+  std::vector<uint8_t> u8(40);
+  for (size_t i = 0; i < u8.size(); ++i) u8[i] = static_cast<uint8_t>(i * 13);
+  b.tensors["u8"] = NDArray::FromVector<uint8_t>({40}, u8);
+  b.tensors["view"] = b.tensors["f64"].Slice(1, 1, 3);
+  b.tensors["empty"] = NDArray::Zeros({0, 3}, DType::kF64);
+
+  privacy::Table table;
+  table.columns = {"id", "site"};
+  table.rows = {{"0", "ornl"}, {"1", ""}};
+  b.tables["subjects"] = table;
+
+  timeseries::Signal ip;
+  ip.name = "ip";
+  ip.t = {0.0, 0.001, 0.002};
+  ip.v = {1.0e6, 1.1e6, 0.9e6};
+  timeseries::Signal ne;
+  ne.name = "ne";
+  b.signal_sets["shot-1"] = {ip, ne};
+
+  std::vector<float> patch(16 * 16);
+  for (size_t i = 0; i < patch.size(); ++i) {
+    patch[i] = static_cast<float>(i) * 0.25f;
+  }
+  shard::Example tile;
+  tile.key = "tile-0";
+  tile.features["x"] = NDArray::FromVector<float>({16, 16}, patch);
+  tile.SetLabel(3);
+  shard::Example bare;
+  bare.key = "bare";
+  b.examples = {tile, bare};
+
+  b.SetAttr("count", container::AttrValue::Int(-42));
+  b.SetAttr("scale", container::AttrValue::Double(0.125));
+  b.SetAttr("units", container::AttrValue::String("K"));
+  b.SetAttr("levels", container::AttrValue::DoubleVec({500.0, 850.0}));
+
+  core::QuarantineRecord q;
+  q.stage = "normalize";
+  q.stage_index = 2;
+  q.partition = 1;
+  q.slot = {1, 4, 10, 20};
+  q.attempts = 3;
+  q.error = Status(StatusCode::kUnavailable, "injected fault");
+  q.units = 10;
+  q.slice.examples = {tile};
+  q.slice.blobs["part"] = Pattern(130, 5);
+  cp.quarantined.push_back(q);
+  return cp;
+}
+
+TEST(Golden, StoreCheckpointSinkFile) {
+  par::StripedStore store;
+  core::StoreCheckpointSink sink(store, "/ckpt");
+  core::PipelineCheckpoint cp = GoldenCheckpoint();
+  ASSERT_TRUE(sink.Save(cp).ok());
+  // A second save replaces the first; the statistics count both.
+  cp.stages_done = 5;
+  ASSERT_TRUE(sink.Save(cp).ok());
+  const par::StripedStoreStats stats = store.stats();
+  EXPECT_EQ(stats.bytes_written, 6636u);
+  EXPECT_EQ(stats.write_ops, 2u);
+  EXPECT_EQ(stats.read_ops, 0u);
+  // Each save is one op of 3318 bytes on the next OST in rotation.
+  EXPECT_DOUBLE_EQ(stats.simulated_seconds, 0.001001659);
+
+  const Result<Bytes> file = store.ReadAll(sink.PathFor("golden"));
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file->size(), 3318u);
+  EXPECT_EQ(HexOf(*file),
+            "b8f1934856c96fb0861989c2b94bdc45e8992d77ca6bfd00704b0516643a0446");
 }
 
 }  // namespace

@@ -550,6 +550,40 @@ TEST(StripedStore, CapacityEnforced) {
             StatusCode::kResourceExhausted);
 }
 
+TEST(StripedStore, ReplaceCountsLikeCreateThenWrite) {
+  StripedStore replaced;
+  StripedStore written;
+  for (size_t n : {size_t{3} << 20, size_t{100}, size_t{0}}) {
+    ASSERT_TRUE(replaced.Replace("/f", Bytes(n, std::byte{1})).ok());
+    ASSERT_TRUE(written.Create("/f").ok());
+    ASSERT_TRUE(written.Write("/f", 0, Bytes(n, std::byte{1})).ok());
+    EXPECT_EQ(replaced.ReadAll("/f").value(), written.ReadAll("/f").value());
+    const StripedStoreStats a = replaced.stats();
+    const StripedStoreStats b = written.stats();
+    EXPECT_EQ(a.bytes_written, b.bytes_written);
+    EXPECT_EQ(a.write_ops, b.write_ops);
+    EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
+  }
+}
+
+TEST(StripedStore, ReplaceIsAllOrNothing) {
+  StripedStoreConfig config;
+  config.capacity_bytes = 10;
+  StripedStore store(config);
+  ASSERT_TRUE(store.Write("/other", 0, Bytes(4)).ok());
+  ASSERT_TRUE(store.Replace("/f", Bytes(6, std::byte{1})).ok());
+  // used - old + new: 10 - 6 + 6 fits exactly; 10 - 6 + 7 does not.
+  EXPECT_TRUE(store.Replace("/f", Bytes(6, std::byte{2})).ok());
+  const StripedStoreStats before = store.stats();
+  EXPECT_EQ(store.Replace("/f", Bytes(7, std::byte{3})).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(store.stats().write_ops, before.write_ops);
+  EXPECT_EQ(store.stats().bytes_written, before.bytes_written);
+  EXPECT_EQ(store.stats().simulated_seconds, before.simulated_seconds);
+  EXPECT_EQ(store.ReadAll("/f").value(), Bytes(6, std::byte{2}));
+  EXPECT_EQ(store.UsedBytes(), 10u);
+}
+
 TEST(StripedStore, ListByPrefix) {
   StripedStore store;
   store.Write("/d/a", 0, Bytes(1)).OrDie();
