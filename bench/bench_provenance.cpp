@@ -12,7 +12,7 @@ namespace drai {
 namespace {
 
 core::Pipeline MakePipeline(bool provenance) {
-  core::PipelineOptions options;
+  core::ExecutionOptions options;
   options.capture_provenance = provenance;
   core::Pipeline p(provenance ? "with-prov" : "without-prov", options);
   // Ten busy stages shaped like a real pipeline (buffers grow and shrink).

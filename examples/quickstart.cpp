@@ -34,8 +34,9 @@ int main() {
   // structure -> shard. Stage order is enforced by the framework. Stages
   // default to ExecutionHint::kSerial; data-parallel stages would pass a
   // hint + ParallelSpec (see the climate example) and options.threads
-  // picks the worker count.
-  core::PipelineOptions options;
+  // picks the worker count. Every archetype config exposes the same
+  // threads, backend, faults, overlap and checkpoint fields.
+  core::ExecutionOptions options;
   options.threads = 1;  // this toy dataset is too small to parallelize
   core::Pipeline pipeline("quickstart", options);
 

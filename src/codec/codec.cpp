@@ -167,7 +167,8 @@ Result<Bytes> RleDecompress(std::span<const std::byte> packed,
     DRAI_RETURN_IF_ERROR(r.GetVarU64(count));
     uint8_t flag = 0;
     DRAI_RETURN_IF_ERROR(r.GetU8(flag));
-    if (out.size() + count > raw_size) return DataLoss("RLE overruns raw size");
+    // out.size() <= raw_size holds here, so this cannot wrap for any count.
+    if (count > raw_size - out.size()) return DataLoss("RLE overruns raw size");
     if (flag == 1) {
       uint8_t b = 0;
       DRAI_RETURN_IF_ERROR(r.GetU8(b));

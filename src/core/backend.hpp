@@ -122,7 +122,7 @@ class SpmdBackend final : public ExecutionBackend {
   size_t ranks_;
 };
 
-/// Build the backend an ExecutorOptions selection names. (Declared here,
+/// Build the backend an ExecutionOptions selection names. (Declared here,
 /// defined in backend.cpp; the executor owns the returned object.)
 std::unique_ptr<ExecutionBackend> MakeBackend(Backend backend, size_t workers);
 

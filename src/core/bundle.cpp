@@ -47,18 +47,22 @@ void WriteTable(ByteWriter& w, const privacy::Table& table) {
 }
 
 Result<privacy::Table> ReadTable(ByteReader& r) {
+  // The counts are untrusted, so nothing is sized from them: a count that
+  // overruns the payload fails at the first missing element.
   privacy::Table table;
   uint64_t n = 0;
   DRAI_RETURN_IF_ERROR(r.GetVarU64(n));
-  table.columns.resize(n);
-  for (auto& c : table.columns) DRAI_RETURN_IF_ERROR(r.GetString(c));
+  for (uint64_t i = 0; i < n; ++i) {
+    DRAI_RETURN_IF_ERROR(r.GetString(table.columns.emplace_back()));
+  }
   DRAI_RETURN_IF_ERROR(r.GetVarU64(n));
-  table.rows.resize(n);
-  for (auto& row : table.rows) {
+  for (uint64_t i = 0; i < n; ++i) {
     uint64_t cells = 0;
     DRAI_RETURN_IF_ERROR(r.GetVarU64(cells));
-    row.resize(cells);
-    for (auto& cell : row) DRAI_RETURN_IF_ERROR(r.GetString(cell));
+    auto& row = table.rows.emplace_back();
+    for (uint64_t c = 0; c < cells; ++c) {
+      DRAI_RETURN_IF_ERROR(r.GetString(row.emplace_back()));
+    }
   }
   return table;
 }
@@ -198,8 +202,8 @@ Result<DataBundle> DataBundle::Parse(std::span<const std::byte> bytes) {
     DRAI_RETURN_IF_ERROR(r.GetString(name));
     uint64_t count = 0;
     DRAI_RETURN_IF_ERROR(r.GetVarU64(count));
+    // No reserve: the count is untrusted (see ReadTable).
     std::vector<timeseries::Signal> signals;
-    signals.reserve(count);
     for (uint64_t k = 0; k < count; ++k) {
       DRAI_ASSIGN_OR_RETURN(timeseries::Signal s, ReadSignal(r));
       signals.push_back(std::move(s));

@@ -303,7 +303,7 @@ size_t EffectiveGrain(const ParallelSpec& spec) {
 }
 
 const DeadlinePolicy& EffectiveDeadlineOf(const PipelinePlan& plan,
-                                          const ExecutorOptions& options,
+                                          const ExecutionOptions& options,
                                           size_t abs) {
   const PlannedStage& s = plan.stages()[abs];
   return s.deadline.active() ? s.deadline : options.default_deadline;
@@ -314,7 +314,7 @@ const DeadlinePolicy& EffectiveDeadlineOf(const PipelinePlan& plan,
 /// may already have fed its consumers when attempts exhaust), and soft
 /// deadlines drive speculation, whose commit-cell protocol assumes the
 /// group barrier. Hard deadlines and plain retry are stream-safe.
-bool GroupStreamable(const PipelinePlan& plan, const ExecutorOptions& options,
+bool GroupStreamable(const PipelinePlan& plan, const ExecutionOptions& options,
                      size_t first, size_t last) {
   const auto& stages = plan.stages();
   if (stages[first].hint == ExecutionHint::kSerial) return false;
@@ -384,7 +384,7 @@ struct AttemptCell {
 /// retry is byte-identical to a fault-free run.
 struct AttemptRunner {
   const PipelinePlan& plan;
-  const ExecutorOptions& options;
+  const ExecutionOptions& options;
   const ExecutorRunScope& scope;
   AttemptWatchdog* watchdog = nullptr;  ///< null: no deadline armed
 
@@ -469,9 +469,9 @@ struct AttemptRunner {
 // would duplicate every blob and slice on every save. Quarantined slices
 // travel with every checkpoint, so whichever save the run dies after still
 // lets Resume re-admit the dropped records.
-Status SaveCheckpoint(const PipelinePlan& plan, size_t stages_done,
-                      DataBundle& bundle, const ExecutorRunScope& scope,
-                      PipelineReport& report) {
+Status SaveCheckpoint(CheckpointSink& sink, const PipelinePlan& plan,
+                      size_t stages_done, DataBundle& bundle,
+                      const ExecutorRunScope& scope, PipelineReport& report) {
   const WallTimer timer;
   PipelineCheckpoint cp;
   cp.pipeline = scope.pipeline_name;
@@ -499,7 +499,7 @@ Status SaveCheckpoint(const PipelinePlan& plan, size_t stages_done,
   Status saved;
   {
     const MoveBack move_back{cp, bundle, report};
-    saved = scope.checkpoint->Save(cp, &bytes);
+    saved = sink.Save(cp, &bytes);
   }
   report.checkpoint_seconds += timer.Seconds();
   if (saved.ok()) {
@@ -512,7 +512,7 @@ Status SaveCheckpoint(const PipelinePlan& plan, size_t stages_done,
 }  // namespace
 
 std::vector<OverlapWindow> ComputeOverlapWindows(
-    const PipelinePlan& plan, const ExecutorOptions& options) {
+    const PipelinePlan& plan, const ExecutionOptions& options) {
   std::vector<OverlapWindow> windows;
   if (!options.overlap) return windows;
   const auto& stages = plan.stages();
@@ -544,7 +544,7 @@ std::vector<OverlapWindow> ComputeOverlapWindows(
   return windows;
 }
 
-ParallelExecutor::ParallelExecutor(ExecutorOptions options)
+ParallelExecutor::ParallelExecutor(ExecutionOptions options)
     : options_(options),
       backend_(MakeBackend(options.backend, options.threads)) {}
 
@@ -622,8 +622,9 @@ PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
       break;
     }
     i = window->last;
-    if (scope.checkpoint != nullptr) {
-      if (Status saved = SaveCheckpoint(plan, i, bundle, scope, report);
+    if (options_.checkpoint != nullptr) {
+      if (Status saved = SaveCheckpoint(*options_.checkpoint, plan, i, bundle,
+                                        scope, report);
           !saved.ok()) {
         report.ok = false;
         report.error = Status(saved.code(),

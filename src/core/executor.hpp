@@ -129,13 +129,19 @@ struct PipelineReport {
   [[nodiscard]] std::string TimeBreakdown() const;
 };
 
-struct ExecutorOptions {
+/// The execution knobs, declared once: the executor reads them, the
+/// Pipeline facade takes them, and every archetype config exposes the ones
+/// it needs (domains::ArchetypeExecution), so each layer sees the same
+/// fields under the same names.
+struct ExecutionOptions {
   /// Execution substrate for parallel stages: thread pool or SPMD ranks.
+  /// Either backend produces byte-identical shards, reports and provenance.
   Backend backend = Backend::kThread;
   /// Parallel workers. kThread: 0 = share the process pool
   /// (par::GlobalPool); 1 = run partitions inline on the calling thread;
   /// N > 1 = a dedicated pool of N workers. kSpmd: the rank world size
-  /// (0 = one rank per hardware thread).
+  /// (0 = one rank per hardware thread). Output bytes are identical for any
+  /// value.
   size_t threads = 0;
   uint64_t seed = 0xD6A1;
   bool capture_provenance = true;
@@ -159,6 +165,10 @@ struct ExecutorOptions {
   /// provenance versus barriered execution; false forces barriers
   /// everywhere (the differential-testing baseline).
   bool overlap = true;
+  /// When set, the executor saves a checkpoint after every successful
+  /// stage group (a failed save fails the run), and Pipeline::Resume can
+  /// restart a killed run from the last good stage. Not owned.
+  CheckpointSink* checkpoint = nullptr;
 };
 
 /// Per-run bookkeeping owned by the caller (the Pipeline facade): where to
@@ -175,14 +185,11 @@ struct ExecutorRunScope {
   /// derivation and fault injection stay absolute, so a resumed run
   /// reproduces the original run's streams exactly.
   size_t start_stage = 0;
-  /// When set, the executor saves a checkpoint after every successful
-  /// stage group; a checkpoint write failure fails the run.
-  CheckpointSink* checkpoint = nullptr;
 };
 
 class ParallelExecutor {
  public:
-  explicit ParallelExecutor(ExecutorOptions options = {});
+  explicit ParallelExecutor(ExecutionOptions options = {});
   ~ParallelExecutor();
 
   ParallelExecutor(const ParallelExecutor&) = delete;
@@ -194,7 +201,7 @@ class ParallelExecutor {
   PipelineReport Run(const PipelinePlan& plan, DataBundle& bundle,
                      const ExecutorRunScope& scope);
 
-  [[nodiscard]] const ExecutorOptions& options() const { return options_; }
+  [[nodiscard]] const ExecutionOptions& options() const { return options_; }
   /// Concurrency actually available to partition dispatch (threads or
   /// ranks, depending on the backend).
   [[nodiscard]] size_t thread_count() const;
@@ -213,7 +220,7 @@ class ParallelExecutor {
   void RecordStage(const ExecutorRunScope& scope, StageMetrics& metrics,
                    const std::map<std::string, std::string>& params);
 
-  ExecutorOptions options_;
+  ExecutionOptions options_;
   std::unique_ptr<ExecutionBackend> backend_;
 };
 
@@ -243,8 +250,8 @@ struct OverlapWindow {
 /// (speculation's commit cells assume the group barrier). Hard deadlines,
 /// retry-without-quarantine, and fault injection all work inside windows.
 /// Exposed for tests; the executor calls it on every Run.
-std::vector<OverlapWindow> ComputeOverlapWindows(const PipelinePlan& plan,
-                                                 const ExecutorOptions& options);
+std::vector<OverlapWindow> ComputeOverlapWindows(
+    const PipelinePlan& plan, const ExecutionOptions& options);
 
 /// The RNG stream for one (run, stage, slot) cell — slot 0 is the serial
 /// stage / Before hook, slot p+1 is partition p, slot n_parts+1 the After

@@ -5,19 +5,6 @@
 namespace drai::core {
 
 namespace {
-ExecutorOptions ToExecutorOptions(const PipelineOptions& options) {
-  ExecutorOptions out;
-  out.backend = options.backend;
-  out.threads = options.threads;
-  out.seed = options.seed;
-  out.capture_provenance = options.capture_provenance;
-  out.fail_fast = options.fail_fast;
-  out.faults = options.faults;
-  out.default_deadline = options.default_deadline;
-  out.overlap = options.overlap;
-  return out;
-}
-
 PipelineReport FailedReport(Status error) {
   PipelineReport report;
   report.ok = false;
@@ -26,10 +13,8 @@ PipelineReport FailedReport(Status error) {
 }
 }  // namespace
 
-Pipeline::Pipeline(std::string name, PipelineOptions options)
-    : plan_(std::move(name)),
-      options_(options),
-      executor_(ToExecutorOptions(options)) {}
+Pipeline::Pipeline(std::string name, ExecutionOptions options)
+    : plan_(std::move(name)), executor_(std::move(options)) {}
 
 Pipeline& Pipeline::Add(std::unique_ptr<Stage> stage, ExecutionHint hint,
                         ParallelSpec spec) {
@@ -73,18 +58,24 @@ Pipeline& Pipeline::WithOverlap(OverlapPolicy policy) {
 
 PipelineReport Pipeline::Run(DataBundle& bundle) {
   ++runs_;
+  return RunFrom(bundle, 0);
+}
+
+PipelineReport Pipeline::RunFrom(DataBundle& bundle, size_t start_stage) {
   ExecutorRunScope scope;
   scope.pipeline_name = plan_.name();
   scope.run_index = runs_;
-  scope.provenance = options_.capture_provenance ? &provenance_ : nullptr;
+  scope.provenance =
+      executor_.options().capture_provenance ? &provenance_ : nullptr;
   scope.last_state = &last_state_;
-  scope.checkpoint = options_.checkpoint;
+  scope.start_stage = start_stage;
   return executor_.Run(plan_, bundle, scope);
 }
 
 PipelineReport Pipeline::Resume(DataBundle& bundle) {
-  if (options_.checkpoint == nullptr) return Run(bundle);
-  auto loaded = options_.checkpoint->LoadLatest(plan_.name());
+  const ExecutionOptions& options = executor_.options();
+  if (options.checkpoint == nullptr) return Run(bundle);
+  auto loaded = options.checkpoint->LoadLatest(plan_.name());
   if (!loaded.ok()) return FailedReport(loaded.status());
   if (!loaded->has_value()) return Run(bundle);  // nothing to resume from
   PipelineCheckpoint cp = std::move(**loaded);
@@ -128,7 +119,7 @@ PipelineReport Pipeline::Resume(DataBundle& bundle) {
     const size_t end = std::min(cp.stages_done, stages.size());
     for (size_t s = q.stage_index; s < end && status.ok(); ++s) {
       StageContext ctx(
-          DeriveStageRng(options_.seed, cp.run_index, s, q.partition + 1),
+          DeriveStageRng(options.seed, cp.run_index, s, q.partition + 1),
           nullptr);
       ctx.SetPartition(q.slot);
       // No injected fault rides the context: replays run clean.
@@ -146,14 +137,7 @@ PipelineReport Pipeline::Resume(DataBundle& bundle) {
     readmissions.push_back(std::move(rec));
   }
 
-  ExecutorRunScope scope;
-  scope.pipeline_name = plan_.name();
-  scope.run_index = cp.run_index;
-  scope.provenance = options_.capture_provenance ? &provenance_ : nullptr;
-  scope.last_state = &last_state_;
-  scope.start_stage = cp.stages_done;
-  scope.checkpoint = options_.checkpoint;
-  PipelineReport report = executor_.Run(plan_, bundle, scope);
+  PipelineReport report = RunFrom(bundle, cp.stages_done);
   report.readmissions = std::move(readmissions);
   return report;
 }

@@ -13,7 +13,8 @@
 // accumulates across runs. The original monolithic API (Add / Run /
 // RunWithFeedback / provenance) is unchanged; stages may now also be added
 // with an ExecutionHint + ParallelSpec to run partition-parallel, and
-// PipelineOptions.threads picks the worker count (0 = shared global pool).
+// ExecutionOptions (core/executor.hpp) picks the backend, the worker count
+// (threads; 0 = shared global pool), faults, overlap and checkpointing.
 #pragma once
 
 #include <functional>
@@ -29,41 +30,9 @@
 
 namespace drai::core {
 
-struct PipelineOptions {
-  uint64_t seed = 0xD6A1;
-  bool capture_provenance = true;
-  /// Report shape after a failure: truncate at the failing stage (true) or
-  /// record every remaining stage as kFailedPrecondition "skipped" (false).
-  /// No later stage runs either way.
-  bool fail_fast = true;
-  /// Execution substrate for parallel stages (core/backend.hpp): a thread
-  /// pool or in-process SPMD ranks. Either backend produces byte-identical
-  /// shards, reports, and provenance at any worker count.
-  Backend backend = Backend::kThread;
-  /// Parallel workers. kThread: 0 = shared global pool, 1 = serial, N =
-  /// dedicated pool of N. kSpmd: rank world size (0 = hardware threads).
-  size_t threads = 0;
-  /// Deterministic fault injection (tests/benches). Inactive by default.
-  FaultPlan faults;
-  /// Deadline for stages that carry no DeadlinePolicy of their own — the
-  /// watchdog safety net that cancels a hung partition even when the plan
-  /// never thought about deadlines. Inactive by default.
-  DeadlinePolicy default_deadline;
-  /// When set, every successful stage group checkpoints here, and Resume()
-  /// can restart a killed run from the last good stage. Not owned.
-  CheckpointSink* checkpoint = nullptr;
-  /// Master switch for inter-stage pipelining (overlap windows). When true,
-  /// stage boundaries the plan marked OverlapPolicy::kStream that pass the
-  /// planner's legality rules stream committed partitions straight into the
-  /// next stage group instead of waiting for the merge barrier. Output
-  /// bytes and provenance are identical either way; false forces barriers
-  /// everywhere (the differential-testing baseline).
-  bool overlap = true;
-};
-
 class Pipeline {
  public:
-  explicit Pipeline(std::string name, PipelineOptions options = {});
+  explicit Pipeline(std::string name, ExecutionOptions options = {});
 
   /// Append a stage. Throws std::invalid_argument if it would violate the
   /// canonical stage ordering.
@@ -102,7 +71,7 @@ class Pipeline {
   PipelineReport Run(DataBundle& bundle);
 
   /// Restart a killed run from its last checkpoint: reload the newest
-  /// checkpoint from PipelineOptions.checkpoint, restore the bundle,
+  /// checkpoint from ExecutionOptions::checkpoint, restore the bundle,
   /// provenance graph and lineage cursor it captured, and run only the
   /// remaining stages. Because stage RNG streams and fault decisions key
   /// off absolute stage indices, the resumed run's downstream results are
@@ -139,8 +108,10 @@ class Pipeline {
   }
 
  private:
+  /// Run the plan from `start_stage` on as run number runs_.
+  PipelineReport RunFrom(DataBundle& bundle, size_t start_stage);
+
   PipelinePlan plan_;
-  PipelineOptions options_;
   ParallelExecutor executor_;
   ProvenanceGraph provenance_;
   std::optional<size_t> last_state_;  ///< latest bundle-state artifact

@@ -36,12 +36,7 @@ Result<BioArchetypeResult> RunBioArchetype(par::StripedStore& store,
   auto direct_cols = std::make_shared<std::vector<std::string>>();
   auto subject_by_token = std::make_shared<std::map<std::string, size_t>>();
 
-  core::PipelineOptions options;
-  options.backend = config.backend;
-  options.threads = config.threads;
-  options.faults = config.faults;
-  options.overlap = config.overlap;
-  core::Pipeline pipeline("bio-archetype", options);
+  core::Pipeline pipeline("bio-archetype", config.execution());
 
   // Parallel grains: sequence QC partitions the subject index range (the
   // bundle carries no per-subject collection yet); the privacy battery and
@@ -299,37 +294,14 @@ Result<BioArchetypeResult> RunBioArchetype(par::StripedStore& store,
       });
 
   DataBundle bundle;
-  result.report = pipeline.Run(bundle);
-  if (!result.report.ok) return result.report.error;
-
-  result.manifest = *manifest;
-  result.quality = core::AssessQuality(bundle.examples);
-  result.provenance_hash = pipeline.provenance().RecordHash();
+  DRAI_RETURN_IF_ERROR(RunArchetype(pipeline, bundle, *manifest, result, [&] {
+    return ArchetypeEvidence{
+        .label_fraction = *labeled_fraction,
+        .anonymization_done = k_report->k_achieved >= config.k_anonymity,
+        .transform_audited = audit->Verify().ok()};
+  }));
   result.audit = *audit;
   result.k_report = *k_report;
-
-  core::DatasetState& s = result.state;
-  s.acquired = true;
-  s.validated_standard_format = true;
-  s.metadata_enriched = true;
-  s.high_throughput_ingest = true;
-  s.ingest_automated = true;
-  s.initial_alignment = true;
-  s.grids_standardized = true;
-  s.alignment_fully_standardized = true;
-  s.alignment_automated = true;
-  s.basic_normalization = true;
-  s.anonymization_done = k_report->k_achieved >= config.k_anonymity;
-  s.normalization_finalized = true;
-  s.basic_labels = *labeled_fraction > 0;
-  s.comprehensive_labels = *labeled_fraction >= 0.95;
-  s.transform_automated_audited = audit->Verify().ok();
-  s.features_extracted = true;
-  s.features_validated = true;
-  s.split_and_sharded = manifest->TotalRecords() > 0;
-  s.missing_fraction = result.quality.MissingFraction();
-  s.label_fraction = *labeled_fraction;
-  result.readiness = core::Assess(s);
   return result;
 }
 

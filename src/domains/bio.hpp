@@ -10,14 +10,14 @@
 // manifest so the export is traceable to the privacy transcript.
 #pragma once
 
-#include "domains/climate.hpp"  // ArchetypeResult
+#include "domains/archetype.hpp"
 #include "privacy/anonymize.hpp"
 #include "privacy/audit.hpp"
 #include "workloads/bio.hpp"
 
 namespace drai::domains {
 
-struct BioArchetypeConfig {
+struct BioArchetypeConfig : ArchetypeExecution {
   workloads::BioConfig workload;
   size_t tile_len = 128;
   size_t tile_stride = 128;
@@ -25,25 +25,12 @@ struct BioArchetypeConfig {
   std::string hmac_key = "drai-demo-key-0123456789abcdef";
   std::string dataset_dir = "/datasets/bio";
   uint64_t split_seed = 33;
-  /// Execution substrate for the parallel stages (thread pool or SPMD
-  /// ranks). Output bytes are identical either way.
-  core::Backend backend = core::Backend::kThread;
-  /// Worker threads (kThread) or rank world size (kSpmd); 0 = default.
-  /// Output bytes are identical for any value.
-  size_t threads = 0;
   /// Retry policy applied to every parallel stage (default: no retry).
   core::RetryPolicy retry;
   /// Deadline policy applied to every stage alongside `retry`: hard limits
   /// cancel hung attempts, soft limits launch straggler speculation,
   /// collective_ms bounds SPMD collective waits. Inactive by default.
   core::DeadlinePolicy deadline;
-  /// Deterministic fault injection (tests/benches). Inactive by default.
-  core::FaultPlan faults;
-  /// Inter-stage pipelining master switch (PipelineOptions::overlap). This
-  /// plan has no streamable boundaries today (hooks and serial stages sit
-  /// between its parallel groups), so this is plumbing for parity with the
-  /// climate archetype; output bytes are identical either way.
-  bool overlap = true;
 };
 
 struct BioArchetypeResult : ArchetypeResult {

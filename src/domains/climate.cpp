@@ -57,13 +57,7 @@ Result<ArchetypeResult> RunClimateArchetype(
       stats::NormKind::kZScore, variables.size());
   auto manifest = std::make_shared<shard::DatasetManifest>();
 
-  core::PipelineOptions options;
-  options.backend = config.backend;
-  options.threads = config.threads;
-  options.faults = config.faults;
-  options.checkpoint = config.checkpoint;
-  options.overlap = config.overlap;
-  core::Pipeline pipeline("climate-archetype", options);
+  core::Pipeline pipeline("climate-archetype", config.execution());
 
   // One partition per time step for every parallel stage: the partition
   // count is data-dependent only, so output bytes and provenance hashes
@@ -337,34 +331,8 @@ Result<ArchetypeResult> RunClimateArchetype(
       config.source_format == ClimateSourceFormat::kNetcdf
           ? workloads::GenerateClimateNetcdf(config.workload)
           : workloads::GenerateClimateGrib(config.workload);
-  result.report = pipeline.Run(bundle);
-  if (!result.report.ok) return result.report.error;
-
-  result.manifest = *manifest;
-  result.quality = core::AssessQuality(bundle.examples);
-  result.provenance_hash = pipeline.provenance().RecordHash();
-
-  core::DatasetState& s = result.state;
-  s.acquired = true;
-  s.validated_standard_format = true;
-  s.metadata_enriched = true;
-  s.high_throughput_ingest = true;
-  s.ingest_automated = true;
-  s.initial_alignment = true;
-  s.grids_standardized = true;
-  s.alignment_fully_standardized = true;
-  s.alignment_automated = true;
-  s.basic_normalization = true;
-  s.normalization_finalized = true;
-  s.basic_labels = true;
-  s.comprehensive_labels = true;  // self-supervised target on every sample
-  s.transform_automated_audited = true;
-  s.features_extracted = true;
-  s.features_validated = true;
-  s.split_and_sharded = manifest->TotalRecords() > 0;
-  s.missing_fraction = result.quality.MissingFraction();
-  s.label_fraction = 1.0;
-  result.readiness = core::Assess(s);
+  // Every sample carries its self-supervised target: the default evidence.
+  DRAI_RETURN_IF_ERROR(RunArchetype(pipeline, bundle, *manifest, result));
   return result;
 }
 

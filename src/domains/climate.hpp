@@ -9,12 +9,8 @@
 // manifest with the serialized normalizer.
 #pragma once
 
-#include "core/datasheet.hpp"
-#include "core/pipeline.hpp"
-#include "core/readiness.hpp"
+#include "domains/archetype.hpp"
 #include "grid/latlon.hpp"
-#include "parallel/striped_store.hpp"
-#include "shard/manifest.hpp"
 #include "workloads/climate.hpp"
 #include "workloads/skew.hpp"
 
@@ -25,7 +21,7 @@ namespace drai::domains {
 /// "fragmentation across domains".
 enum class ClimateSourceFormat { kGrib, kNetcdf };
 
-struct ClimateArchetypeConfig {
+struct ClimateArchetypeConfig : ArchetypeExecution {
   workloads::ClimateConfig workload;
   ClimateSourceFormat source_format = ClimateSourceFormat::kGrib;
   size_t target_lat = 24;
@@ -34,12 +30,6 @@ struct ClimateArchetypeConfig {
   size_t patch = 8;            ///< spatial patch edge (cells)
   std::string dataset_dir = "/datasets/climate";
   uint64_t split_seed = 11;
-  /// Execution substrate for the parallel stages: thread pool or
-  /// in-process SPMD ranks. Output bytes are identical either way.
-  core::Backend backend = core::Backend::kThread;
-  /// Worker threads (kThread: 0 = shared global pool, 1 = serial) or rank
-  /// world size (kSpmd). Output bytes are identical for any value.
-  size_t threads = 0;
   /// Retry policy applied to every parallel stage. Default = no retry, a
   /// failing partition fails the run; raise max_attempts (and optionally
   /// allow quarantine) to ride out transient faults.
@@ -48,33 +38,16 @@ struct ClimateArchetypeConfig {
   /// cancel hung attempts, soft limits launch straggler speculation,
   /// collective_ms bounds SPMD collective waits. Inactive by default.
   core::DeadlinePolicy deadline;
-  /// Deterministic fault injection (tests/benches). Inactive by default.
-  core::FaultPlan faults;
-  /// When set, every successful stage group checkpoints here (see
-  /// core/checkpoint.hpp). Not owned. Default: no checkpointing.
-  core::CheckpointSink* checkpoint = nullptr;
-  /// Inter-stage pipelining master switch (PipelineOptions::overlap). The
-  /// normalize -> patch boundary is marked OverlapPolicy::kStream; it
-  /// actually streams only when `normalize_grain` separates the two stages
-  /// into distinct fused groups. Output bytes are identical either way.
-  bool overlap = true;
   /// Time steps per `normalize` partition. 1 (default) keeps normalize and
   /// patch fused into one group, exactly the seed behavior; > 1 splits them
-  /// into separate groups whose boundary can stream (grain N -> 1).
+  /// into separate groups whose boundary can stream (grain N -> 1) when
+  /// `overlap` is on. The normalize -> patch boundary is marked
+  /// OverlapPolicy::kStream; output bytes are identical either way.
   size_t normalize_grain = 1;
   /// Deterministic compute skew added to `normalize`, keyed by time step —
   /// the straggler generator for overlap/speculation benchmarks. Inactive
   /// by default; never changes output bytes.
   workloads::SkewSpec skew;
-};
-
-struct ArchetypeResult {
-  core::PipelineReport report;
-  shard::DatasetManifest manifest;
-  core::QualityReport quality;
-  core::ReadinessAssessment readiness;
-  core::DatasetState state;
-  std::string provenance_hash;
 };
 
 /// Run the full archetype against `store`. The pipeline is built fresh per

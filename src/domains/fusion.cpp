@@ -47,12 +47,7 @@ Result<ArchetypeResult> RunFusionArchetype(
   // partition-parallel example emission.
   auto label_of = std::make_shared<std::map<std::string, int>>();
 
-  core::PipelineOptions options;
-  options.backend = config.backend;
-  options.threads = config.threads;
-  options.faults = config.faults;
-  options.overlap = config.overlap;
-  core::Pipeline pipeline("fusion-archetype", options);
+  core::Pipeline pipeline("fusion-archetype", config.execution());
 
   // One shot = one unit of parallel work: align partitions the signal sets,
   // the later stages partition the per-shot tensors they produce.
@@ -326,34 +321,9 @@ Result<ArchetypeResult> RunFusionArchetype(
       });
 
   DataBundle bundle;
-  result.report = pipeline.Run(bundle);
-  if (!result.report.ok) return result.report.error;
-
-  result.manifest = *manifest;
-  result.quality = core::AssessQuality(bundle.examples);
-  result.provenance_hash = pipeline.provenance().RecordHash();
-
-  core::DatasetState& s = result.state;
-  s.acquired = true;
-  s.validated_standard_format = true;
-  s.metadata_enriched = true;
-  s.high_throughput_ingest = true;
-  s.ingest_automated = true;
-  s.initial_alignment = true;
-  s.grids_standardized = true;
-  s.alignment_fully_standardized = true;
-  s.alignment_automated = true;
-  s.basic_normalization = true;
-  s.normalization_finalized = true;
-  s.basic_labels = *labeled_fraction > 0;
-  s.comprehensive_labels = *labeled_fraction >= 0.95;
-  s.transform_automated_audited = true;
-  s.features_extracted = true;
-  s.features_validated = true;
-  s.split_and_sharded = manifest->TotalRecords() > 0;
-  s.missing_fraction = result.quality.MissingFraction();
-  s.label_fraction = *labeled_fraction;
-  result.readiness = core::Assess(s);
+  DRAI_RETURN_IF_ERROR(RunArchetype(pipeline, bundle, *manifest, result, [&] {
+    return ArchetypeEvidence{.label_fraction = *labeled_fraction};
+  }));
   return result;
 }
 

@@ -10,12 +10,12 @@
 // splits.
 #pragma once
 
-#include "domains/climate.hpp"  // ArchetypeResult
+#include "domains/archetype.hpp"
 #include "workloads/fusion.hpp"
 
 namespace drai::domains {
 
-struct FusionArchetypeConfig {
+struct FusionArchetypeConfig : ArchetypeExecution {
   workloads::FusionConfig workload;
   double align_dt = 2e-3;       ///< common clock step (s)
   size_t window = 64;           ///< samples per window
@@ -31,25 +31,12 @@ struct FusionArchetypeConfig {
   size_t jitter_windows_per_shot = 0;
   std::string dataset_dir = "/datasets/fusion";
   uint64_t split_seed = 22;
-  /// Execution substrate for the parallel stages (thread pool or SPMD
-  /// ranks). Output bytes are identical either way.
-  core::Backend backend = core::Backend::kThread;
-  /// Worker threads (kThread) or rank world size (kSpmd); 0 = default.
-  /// Output bytes are identical for any value.
-  size_t threads = 0;
   /// Retry policy applied to every parallel stage (default: no retry).
   core::RetryPolicy retry;
   /// Deadline policy applied to every stage alongside `retry`: hard limits
   /// cancel hung attempts, soft limits launch straggler speculation,
   /// collective_ms bounds SPMD collective waits. Inactive by default.
   core::DeadlinePolicy deadline;
-  /// Deterministic fault injection (tests/benches). Inactive by default.
-  core::FaultPlan faults;
-  /// Inter-stage pipelining master switch (PipelineOptions::overlap). This
-  /// plan has no streamable boundaries today (hooks and serial stages sit
-  /// between its parallel groups), so this is plumbing for parity with the
-  /// climate archetype; output bytes are identical either way.
-  bool overlap = true;
 };
 
 Result<ArchetypeResult> RunFusionArchetype(par::StripedStore& store,

@@ -26,12 +26,7 @@ Result<MaterialsArchetypeResult> RunMaterialsArchetype(
       stats::NormKind::kZScore, 1);
   auto manifest = std::make_shared<shard::DatasetManifest>();
 
-  core::PipelineOptions options;
-  options.backend = config.backend;
-  options.threads = config.threads;
-  options.faults = config.faults;
-  options.overlap = config.overlap;
-  core::Pipeline pipeline("materials-archetype", options);
+  core::Pipeline pipeline("materials-archetype", config.execution());
 
   // The corpus lives in the shared `structures` vector, not the bundle, so
   // the parallel stages partition the index range; each partition touches
@@ -178,34 +173,8 @@ Result<MaterialsArchetypeResult> RunMaterialsArchetype(
       });
 
   DataBundle bundle;
-  result.report = pipeline.Run(bundle);
-  if (!result.report.ok) return result.report.error;
-
-  result.manifest = *manifest;
-  result.quality = core::AssessQuality(bundle.examples);
-  result.provenance_hash = pipeline.provenance().RecordHash();
-
-  core::DatasetState& s = result.state;
-  s.acquired = true;
-  s.validated_standard_format = true;
-  s.metadata_enriched = true;
-  s.high_throughput_ingest = true;
-  s.ingest_automated = true;
-  s.initial_alignment = true;
-  s.grids_standardized = true;
-  s.alignment_fully_standardized = true;
-  s.alignment_automated = true;
-  s.basic_normalization = true;
-  s.normalization_finalized = true;
-  s.basic_labels = true;
-  s.comprehensive_labels = true;  // DFT labels exist for every structure
-  s.transform_automated_audited = true;
-  s.features_extracted = true;
-  s.features_validated = true;
-  s.split_and_sharded = manifest->TotalRecords() > 0;
-  s.missing_fraction = result.quality.MissingFraction();
-  s.label_fraction = 1.0;
-  result.readiness = core::Assess(s);
+  // DFT labels exist for every structure: the default evidence.
+  DRAI_RETURN_IF_ERROR(RunArchetype(pipeline, bundle, *manifest, result));
   return result;
 }
 

@@ -32,8 +32,8 @@ Result<std::vector<Example>> ShardReader::ReadShard(Split split,
   DRAI_ASSIGN_OR_RETURN(Bytes file, store_->ReadAll(info.file));
   DRAI_ASSIGN_OR_RETURN(container::RecReader rec,
                         container::RecReader::Open(file));
+  // No reserve: the manifest's record count is untrusted.
   std::vector<Example> out;
-  out.reserve(info.records);
   for (;;) {
     DRAI_ASSIGN_OR_RETURN(std::optional<Bytes> payload, rec.Next());
     if (!payload.has_value()) break;

@@ -254,6 +254,24 @@ TEST(Codec, HeaderClaimingAnExbibyteIsDataLoss) {
   }
 }
 
+TEST(Codec, RleRunNearUint64MaxIsDataLoss) {
+  // Two bytes of output, then a run of UINT64_MAX - 1: out.size() + count
+  // wraps to 0, which an overflowing bounds check would accept.
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(Codec::kRle));
+  w.PutVarU64(4);  // raw_size
+  w.PutVarU64(2);
+  w.PutU8(1);  // run
+  w.PutU8(0x41);
+  w.PutVarU64(std::numeric_limits<uint64_t>::max() - 1);
+  w.PutU8(1);  // run
+  w.PutU8(0x42);
+  const Bytes frame = w.Take();
+  StatusCode code = StatusCode::kOk;
+  EXPECT_NO_THROW(code = Decode(frame).status().code());
+  EXPECT_EQ(code, StatusCode::kDataLoss);
+}
+
 // ---- quantization ---------------------------------------------------------------
 
 TEST(Quantize, NarrowRoundTripErrorOrdering) {

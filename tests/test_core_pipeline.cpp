@@ -5,11 +5,60 @@
 #include "core/bundle.hpp"
 #include "core/pipeline.hpp"
 #include "core/provenance.hpp"
+#include "largest_new.hpp"
 
 namespace drai::core {
 namespace {
 
 // ---- bundle -----------------------------------------------------------------
+
+TEST(DataBundle, SignalCountBeyondThePayloadIsDataLoss) {
+  // Version, then no blobs, tensors or tables, then one signal set whose
+  // count claims 2^62 signals over a payload of 64 KiB: the name of the
+  // first signal, then nothing.
+  ByteWriter w;
+  w.PutU32(1);
+  w.PutVarU64(0);  // blobs
+  w.PutVarU64(0);  // tensors
+  w.PutVarU64(0);  // tables
+  w.PutVarU64(1);  // signal sets
+  w.PutString("shot");
+  w.PutVarU64(uint64_t{1} << 62);
+  w.PutString(std::string(size_t{1} << 16, 't'));
+  const Bytes bytes = w.Take();
+
+  g_largest_new = 0;
+  StatusCode code = StatusCode::kOk;
+  EXPECT_NO_THROW(code = DataBundle::Parse(bytes).status().code());
+  EXPECT_EQ(code, StatusCode::kDataLoss);
+  EXPECT_LT(g_largest_new.load(), 2 * bytes.size());
+}
+
+TEST(DataBundle, TableRowCountBeyondThePayloadIsDataLoss) {
+  // One table whose row count overruns the payload: either far beyond it,
+  // or just under its byte count. The payload is a single row with one
+  // 64 KiB cell, then nothing.
+  for (const uint64_t rows : {uint64_t{1} << 62, uint64_t{1} << 15}) {
+    ByteWriter w;
+    w.PutU32(1);
+    w.PutVarU64(0);  // blobs
+    w.PutVarU64(0);  // tensors
+    w.PutVarU64(1);  // tables
+    w.PutString("clinical");
+    w.PutVarU64(0);  // columns
+    w.PutVarU64(rows);
+    w.PutVarU64(1);  // cells in the first row
+    w.PutString(std::string(size_t{1} << 16, 'c'));
+    const Bytes bytes = w.Take();
+
+    g_largest_new = 0;
+    StatusCode code = StatusCode::kOk;
+    EXPECT_NO_THROW(code = DataBundle::Parse(bytes).status().code())
+        << rows;
+    EXPECT_EQ(code, StatusCode::kDataLoss) << rows;
+    EXPECT_LT(g_largest_new.load(), 2 * bytes.size()) << rows;
+  }
+}
 
 TEST(DataBundle, LookupsAndAttrs) {
   DataBundle bundle;
@@ -119,7 +168,7 @@ TEST(Pipeline, NoFailFastSkipsDependentStages) {
   // Stages form a linear dependency chain, so once one fails the rest
   // cannot trust their input. fail_fast=false keeps the *report* complete
   // (every stage gets an entry) but must not run the downstream bodies.
-  PipelineOptions options;
+  ExecutionOptions options;
   options.fail_fast = false;
   Pipeline p("continue", options);
   bool later_ran = false;
@@ -144,7 +193,7 @@ TEST(Pipeline, NoFailFastSkipsDependentStages) {
 TEST(Pipeline, NoFailFastKeepsFirstError) {
   // With fail_fast off, report.error holds the FIRST failure and every
   // later stage is recorded as skipped, not run.
-  PipelineOptions options;
+  ExecutionOptions options;
   options.fail_fast = false;
   Pipeline p("first-error", options);
   p.Add("boom1", StageKind::kIngest, [](DataBundle&, StageContext&) {
@@ -198,7 +247,7 @@ TEST(PipelinePlan, AddThrowsOnOutOfOrderKinds) {
 TEST(Pipeline, StageRngDeterministicAcrossRuns) {
   // Two pipelines with the same seed must hand stages identical randomness.
   auto collect = [](uint64_t seed) {
-    PipelineOptions options;
+    ExecutionOptions options;
     options.seed = seed;
     Pipeline p("rng", options);
     uint64_t value = 0;
@@ -269,7 +318,7 @@ TEST(Pipeline, CapturesProvenancePerStage) {
 }
 
 TEST(Pipeline, ProvenanceDisabledLeavesNoRecord) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.capture_provenance = false;
   Pipeline p("silent", options);
   p.Add("s", StageKind::kIngest, [](DataBundle&, StageContext& ctx) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 
+#include "core/checkpoint.hpp"
 #include "domains/bio.hpp"
 #include "domains/climate.hpp"
 #include "domains/fusion.hpp"
@@ -306,6 +307,115 @@ TEST(AllArchetypes, ShareTheCanonicalStageSequence) {
       EXPECT_EQ(report.stages[i].kind, core::kAllStageKinds[i]);
     }
   }
+}
+
+// Every archetype checkpoints through the inherited ExecutionOptions field,
+// and its last checkpoint reloads with the whole plan done.
+TEST(AllArchetypes, CheckpointAfterEveryStageGroup) {
+  par::StripedStore store;
+  par::StripedStore checkpoint_store;
+  core::StoreCheckpointSink sink(checkpoint_store, "/checkpoints");
+  ClimateArchetypeConfig cc;
+  cc.workload.n_times = 2;
+  cc.workload.n_lat = 16;
+  cc.workload.n_lon = 32;
+  cc.target_lat = 8;
+  cc.target_lon = 16;
+  cc.patch = 4;
+  cc.checkpoint = &sink;
+  FusionArchetypeConfig fc;
+  fc.workload.n_shots = 4;
+  fc.checkpoint = &sink;
+  BioArchetypeConfig bc;
+  bc.workload.n_subjects = 24;
+  bc.checkpoint = &sink;
+  MaterialsArchetypeConfig mc;
+  mc.workload.n_structures = 12;
+  mc.checkpoint = &sink;
+
+  const std::pair<std::string, core::PipelineReport> runs[] = {
+      {"climate-archetype", RunClimateArchetype(store, cc).value().report},
+      {"fusion-archetype", RunFusionArchetype(store, fc).value().report},
+      {"bio-archetype", RunBioArchetype(store, bc).value().report},
+      {"materials-archetype", RunMaterialsArchetype(store, mc).value().report},
+  };
+  for (const auto& [pipeline, report] : runs) {
+    EXPECT_GT(report.checkpoint_saves, 0u) << pipeline;
+    const auto loaded = sink.LoadLatest(pipeline);
+    ASSERT_TRUE(loaded.ok()) << pipeline << ": " << loaded.status().ToString();
+    ASSERT_TRUE(loaded->has_value()) << pipeline;
+    EXPECT_EQ((*loaded)->stages_done, 5u) << pipeline;
+    EXPECT_FALSE((*loaded)->bundle.examples.empty()) << pipeline;
+  }
+}
+
+// ---- readiness characterization ---------------------------------------------
+// Every DatasetState field, then the assessment: overall level, the level of
+// each stage, and every blocking cell. Pins the readiness each archetype
+// reports, not only its overall level.
+
+std::string Characterize(const ArchetypeResult& r) {
+  const core::DatasetState& s = r.state;
+  std::string out;
+  for (const bool flag :
+       {s.acquired, s.validated_standard_format, s.metadata_enriched,
+        s.high_throughput_ingest, s.ingest_automated, s.initial_alignment,
+        s.grids_standardized, s.alignment_fully_standardized,
+        s.alignment_automated, s.basic_normalization, s.anonymization_done,
+        s.basic_labels, s.normalization_finalized, s.comprehensive_labels,
+        s.transform_automated_audited, s.features_extracted,
+        s.features_validated, s.split_and_sharded}) {
+    out += flag ? '1' : '0';
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), " missing=%.17g labels=%.17g overall=%d",
+                s.missing_fraction, s.label_fraction,
+                static_cast<int>(r.readiness.overall));
+  out += buf;
+  out += " per_stage=";
+  for (const core::ReadinessLevel level : r.readiness.per_stage) {
+    out += std::to_string(static_cast<int>(level));
+  }
+  for (const std::string& cell : r.readiness.blocking) out += " | " + cell;
+  return out;
+}
+
+TEST(AllArchetypes, ReadinessCharacterization) {
+  par::StripedStore store;
+  ClimateArchetypeConfig cc;
+  cc.workload.n_times = 2;
+  cc.workload.n_lat = 16;
+  cc.workload.n_lon = 32;
+  cc.workload.missing_prob = 0.005;
+  cc.target_lat = 8;
+  cc.target_lon = 16;
+  cc.patch = 4;
+  FusionArchetypeConfig fc;
+  fc.workload.n_shots = 4;
+  fc.workload.unlabeled_fraction = 0.2;
+  // A fifth of fc's shots arrive unlabeled, which leaves level 4's labeling
+  // cell open; with every shot labeled the same run reaches level 5.
+  FusionArchetypeConfig labeled = fc;
+  labeled.workload.unlabeled_fraction = 0.0;
+  labeled.dataset_dir = "/datasets/fusion-labeled";
+  BioArchetypeConfig bc;
+  bc.workload.n_subjects = 24;
+  MaterialsArchetypeConfig mc;
+  mc.workload.n_structures = 12;
+
+  EXPECT_EQ(Characterize(RunClimateArchetype(store, cc).value()),
+            "111111111111111111 missing=0 labels=1 overall=5 per_stage=55555");
+  EXPECT_EQ(Characterize(RunFusionArchetype(store, fc).value()),
+            "111111111111101111 missing=0 labels=0.75 overall=3 per_stage=55355"
+            " | 4-feature-engineered/transform: normalization or anonymization"
+            " finalized; comprehensive labeling");
+  EXPECT_EQ(Characterize(RunFusionArchetype(store, labeled).value()),
+            "111111111111111111 missing=0 labels=1 overall=5 per_stage=55555");
+  EXPECT_EQ(Characterize(RunBioArchetype(store, bc).value()),
+            "111111111111111111 missing=0 labels=0.95833333333333337"
+            " overall=5 per_stage=55555");
+  EXPECT_EQ(Characterize(RunMaterialsArchetype(store, mc).value()),
+            "111111111111111111 missing=0 labels=1 overall=5 per_stage=55555");
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ struct TestPipeline {
 };
 
 Pipeline MakePipeline(TestPipeline& cfg) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 0xFEED;
   options.backend = cfg.backend;
   options.fail_fast = cfg.fail_fast;
@@ -274,7 +274,7 @@ TEST(Retry, SerialStageHonorsMaxAttempts) {
   site.fail_attempts = 1;
   faults.sites.push_back(site);
 
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 0xFEED;
   options.faults = faults;
   Pipeline p("serial-retry", options);
@@ -689,7 +689,7 @@ TEST(Resume, RefusesStructurallyDifferentPlan) {
 
   // Save a checkpoint under the name "fault-drill" but with a different
   // plan shape.
-  PipelineOptions options;
+  ExecutionOptions options;
   options.checkpoint = &sink;
   Pipeline other("fault-drill", options);
   other.Add("different", StageKind::kIngest,

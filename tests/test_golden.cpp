@@ -8,7 +8,7 @@
 //     dropout};
 //   * the dataset and provenance record of all four archetypes at small
 //     sizes, each under {thread x1, thread x4, spmd x4, spmd x4 + 1%
-//     injected faults};
+//     injected faults, spmd x4 + 1% faults + stage checkpoints};
 //   * the `bench_parallel_pipeline` seed workload (59d678.../c7251b...);
 //   * the checkpoint container, and a StoreCheckpointSink file with the
 //     striped-store statistics its saves leave behind.
@@ -187,18 +187,22 @@ struct Cell {
   core::Backend backend;
   size_t workers;
   bool faults;
+  bool checkpoint;
 };
 constexpr Cell kCells[] = {
-    {"thread x1", core::Backend::kThread, 1, false},
-    {"thread x4", core::Backend::kThread, 4, false},
-    {"spmd x4", core::Backend::kSpmd, 4, false},
-    {"spmd x4 + 1% faults", core::Backend::kSpmd, 4, true},
+    {"thread x1", core::Backend::kThread, 1, false, false},
+    {"thread x4", core::Backend::kThread, 4, false, false},
+    {"spmd x4", core::Backend::kSpmd, 4, false, false},
+    {"spmd x4 + 1% faults", core::Backend::kSpmd, 4, true, false},
+    {"spmd x4 + 1% faults + checkpoint", core::Backend::kSpmd, 4, true, true},
 };
 
 /// Set a cell's execution knobs on any archetype config. Faults use the
-/// fault-recovery bench's seed with enough retries to clear each one.
+/// fault-recovery bench's seed with enough retries to clear each one. A
+/// checkpointed cell saves every stage group to `sink`, whose store is not
+/// the one the dataset digest reads.
 template <typename Config>
-Config WithCell(Config config, const Cell& cell) {
+Config WithCell(Config config, const Cell& cell, core::CheckpointSink& sink) {
   config.backend = cell.backend;
   config.threads = cell.workers;
   if (cell.faults) {
@@ -206,6 +210,7 @@ Config WithCell(Config config, const Cell& cell) {
     config.faults.rate = 0.01;
     config.retry.max_attempts = 5;
   }
+  if (cell.checkpoint) config.checkpoint = &sink;
   return config;
 }
 
@@ -213,12 +218,17 @@ struct Digests {
   std::string data;
   std::string provenance;
   uint64_t retries = 0;  ///< attempts beyond one per partition
+  uint64_t checkpoint_saves = 0;
 };
 
-/// Run one archetype against a fresh store; digest its dataset directory.
+/// Run one archetype in one cell against a fresh store; digest its dataset
+/// directory.
 template <typename Config, typename RunFn>
-Digests RunArchetype(const Config& config, RunFn run, const Cell& cell) {
+Digests DigestCell(const Config& base, RunFn run, const Cell& cell) {
   par::StripedStore store;
+  par::StripedStore checkpoint_store;
+  core::StoreCheckpointSink sink(checkpoint_store, "/checkpoints");
+  const Config config = WithCell(base, cell, sink);
   auto result = run(store, config);
   EXPECT_TRUE(result.ok()) << cell.name << ": " << result.status().ToString();
   if (!result.ok()) return {};
@@ -227,17 +237,24 @@ Digests RunArchetype(const Config& config, RunFn run, const Cell& cell) {
   for (const auto& stage : result->report.stages) {
     out.retries += stage.attempts - stage.partitions;
   }
+  out.checkpoint_saves = result->report.checkpoint_saves;
   return out;
 }
 
 template <typename Config, typename RunFn>
 void ExpectPinned(const Config& base, RunFn run, const Digests& pinned) {
   for (const Cell& cell : kCells) {
-    const Digests got = RunArchetype(WithCell(base, cell), run, cell);
+    const Digests got = DigestCell(base, run, cell);
     EXPECT_EQ(got.data, pinned.data) << cell.name;
     EXPECT_EQ(got.provenance, pinned.provenance) << cell.name;
-    // The fault cell proves something only if a fault fired and was retried.
-    if (cell.faults) EXPECT_GT(got.retries, 0u) << cell.name;
+    // The fault cell proves something only if a fault fired and was retried,
+    // the checkpoint cell only if the run saved.
+    if (cell.faults) {
+      EXPECT_GT(got.retries, 0u) << cell.name;
+    }
+    if (cell.checkpoint) {
+      EXPECT_GT(got.checkpoint_saves, 0u) << cell.name;
+    }
   }
 }
 

@@ -221,7 +221,7 @@ struct HangPipeline {
 };
 
 Pipeline MakePipeline(HangPipeline& cfg) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 0xF00D;
   options.backend = cfg.backend;
   options.faults = cfg.faults;
@@ -466,7 +466,7 @@ TEST(HangTolerance, RetryRestoresInPlaceTensorMutation) {
   // otherwise write through the snapshot and a retry would re-apply the
   // (non-idempotent) mutation to already-mutated data.
   auto build = [](FaultPlan faults) {
-    PipelineOptions options;
+    ExecutionOptions options;
     options.seed = 7;
     options.faults = std::move(faults);
     Pipeline p("inplace-drill", options);

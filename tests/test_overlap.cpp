@@ -122,7 +122,7 @@ PipelinePlan TwoStagePlan(size_t up_grain, size_t down_grain) {
 
 TEST(ComputeOverlapWindows, OptInCompatibleBoundaryFormsWindow) {
   PipelinePlan plan = TwoStagePlan(4, 1);
-  const auto windows = ComputeOverlapWindows(plan, ExecutorOptions{});
+  const auto windows = ComputeOverlapWindows(plan, ExecutionOptions{});
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_EQ(windows[0].first, 0u);
   EXPECT_EQ(windows[0].last, 2u);
@@ -135,12 +135,12 @@ TEST(ComputeOverlapWindows, NoOptInNoWindow) {
            Noop(), ExSpec(4));
   plan.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
            Noop(), ExSpec(1));  // compatible, but never marked kStream
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, MasterSwitchOffDisablesWindows) {
   PipelinePlan plan = TwoStagePlan(4, 1);
-  ExecutorOptions options;
+  ExecutionOptions options;
   options.overlap = false;
   EXPECT_TRUE(ComputeOverlapWindows(plan, options).empty());
 }
@@ -151,7 +151,7 @@ TEST(ComputeOverlapWindows, SerialStageBlocksWindow) {
   plan.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
            Noop(), ExSpec(1));
   plan.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, AxisMismatchBlocksWindow) {
@@ -164,7 +164,7 @@ TEST(ComputeOverlapWindows, AxisMismatchBlocksWindow) {
   plan.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
            Noop(), rows);
   plan.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, AutoAxisBlocksWindow) {
@@ -178,17 +178,17 @@ TEST(ComputeOverlapWindows, AutoAxisBlocksWindow) {
   plan.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
            Noop(), autodown);
   plan.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, GrainNotAMultipleBlocksWindow) {
   PipelinePlan plan = TwoStagePlan(3, 2);  // 3 % 2 != 0
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, CoarseningBoundaryBlocksWindow) {
   PipelinePlan plan = TwoStagePlan(2, 4);  // downstream grain must divide up
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, AfterHookOnUpstreamBlocksWindow) {
@@ -198,7 +198,7 @@ TEST(ComputeOverlapWindows, AfterHookOnUpstreamBlocksWindow) {
   plan.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
            Noop(), ExSpec(1));
   plan.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, BeforeHookOnDownstreamBlocksWindow) {
@@ -208,7 +208,7 @@ TEST(ComputeOverlapWindows, BeforeHookOnDownstreamBlocksWindow) {
   plan.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
            /*before=*/Noop(), Noop(), /*after=*/nullptr, ExSpec(1));
   plan.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, QuarantinePolicyInsideWindowBlocksIt) {
@@ -217,7 +217,7 @@ TEST(ComputeOverlapWindows, QuarantinePolicyInsideWindowBlocksIt) {
   retry.max_attempts = 3;
   retry.quarantine = true;  // drops are merge-scoped: incompatible
   plan.WithRetry(retry);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, PlainRetryInsideWindowIsAllowed) {
@@ -225,7 +225,7 @@ TEST(ComputeOverlapWindows, PlainRetryInsideWindowIsAllowed) {
   RetryPolicy retry;
   retry.max_attempts = 3;
   plan.WithRetry(retry);
-  EXPECT_EQ(ComputeOverlapWindows(plan, ExecutorOptions{}).size(), 1u);
+  EXPECT_EQ(ComputeOverlapWindows(plan, ExecutionOptions{}).size(), 1u);
 }
 
 TEST(ComputeOverlapWindows, SoftDeadlineInsideWindowBlocksIt) {
@@ -233,12 +233,12 @@ TEST(ComputeOverlapWindows, SoftDeadlineInsideWindowBlocksIt) {
   DeadlinePolicy deadline;
   deadline.soft_ms = 50;  // speculation assumes the group barrier
   plan.WithDeadline(deadline);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, DefaultSoftDeadlineBlocksViaOptions) {
   PipelinePlan plan = TwoStagePlan(4, 1);
-  ExecutorOptions options;
+  ExecutionOptions options;
   options.default_deadline.soft_ms = 50;
   EXPECT_TRUE(ComputeOverlapWindows(plan, options).empty());
 }
@@ -248,14 +248,14 @@ TEST(ComputeOverlapWindows, HardDeadlineInsideWindowIsAllowed) {
   DeadlinePolicy deadline;
   deadline.hard_ms = 500;
   plan.WithDeadline(deadline);
-  EXPECT_EQ(ComputeOverlapWindows(plan, ExecutorOptions{}).size(), 1u);
+  EXPECT_EQ(ComputeOverlapWindows(plan, ExecutionOptions{}).size(), 1u);
 }
 
 TEST(ComputeOverlapWindows, EqualSpecsFuseInsteadOfStreaming) {
   // Equal specs make one fused group — FusedGroupEnd already covers the
   // boundary, so the kStream mark is dormant and no window forms.
   PipelinePlan plan = TwoStagePlan(2, 2);
-  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(plan, ExecutionOptions{}).empty());
 }
 
 TEST(ComputeOverlapWindows, RangeAxisNeedsMatchingRangeCount) {
@@ -272,7 +272,7 @@ TEST(ComputeOverlapWindows, RangeAxisNeedsMatchingRangeCount) {
   mismatched.Add("down", StageKind::kTransform,
                  ExecutionHint::kPartitionParallel, Noop(), range_spec(1, 8));
   mismatched.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_TRUE(ComputeOverlapWindows(mismatched, ExecutorOptions{}).empty());
+  EXPECT_TRUE(ComputeOverlapWindows(mismatched, ExecutionOptions{}).empty());
 
   PipelinePlan matched("w");
   matched.Add("up", StageKind::kPreprocess, ExecutionHint::kPartitionParallel,
@@ -280,7 +280,7 @@ TEST(ComputeOverlapWindows, RangeAxisNeedsMatchingRangeCount) {
   matched.Add("down", StageKind::kTransform, ExecutionHint::kPartitionParallel,
               Noop(), range_spec(1, 16));
   matched.WithOverlap(OverlapPolicy::kStream);
-  EXPECT_EQ(ComputeOverlapWindows(matched, ExecutorOptions{}).size(), 1u);
+  EXPECT_EQ(ComputeOverlapWindows(matched, ExecutionOptions{}).size(), 1u);
 }
 
 TEST(ComputeOverlapWindows, ThreeGroupChainFormsOneWindow) {
@@ -294,7 +294,7 @@ TEST(ComputeOverlapWindows, ThreeGroupChainFormsOneWindow) {
   plan.Add("c", StageKind::kStructure, ExecutionHint::kPartitionParallel,
            Noop(), ExSpec(2));
   plan.WithOverlap(OverlapPolicy::kStream);
-  const auto windows = ComputeOverlapWindows(plan, ExecutorOptions{});
+  const auto windows = ComputeOverlapWindows(plan, ExecutionOptions{});
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_EQ(windows[0].first, 1u);
   EXPECT_EQ(windows[0].last, 4u);
@@ -325,7 +325,7 @@ struct SyntheticOptions {
 /// through two per-partition RNG transforms, so any scheduling deviation
 /// from the barriered run shows up as different label bytes.
 SyntheticRun RunSynthetic(const SyntheticOptions& so) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.backend = so.backend;
   options.threads = so.workers;
   options.seed = 77;
@@ -570,7 +570,7 @@ TEST(OverlapExecution, UnitCountChangeInsideWindowIsRejected) {
 
 TEST(OverlapExecution, ThreeGroupChainStreamsByteIdentically) {
   auto run = [](bool overlap) {
-    PipelineOptions options;
+    ExecutionOptions options;
     options.threads = 4;
     options.seed = 99;
     options.overlap = overlap;

@@ -169,7 +169,7 @@ struct RunArtifacts {
 };
 
 RunArtifacts RunDeterminismPipeline(size_t threads) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.threads = threads;
   options.seed = 1234;
   Pipeline p("determinism", options);
@@ -235,7 +235,7 @@ TEST(ParallelExecutor, PartitionMetricsAndCountAggregation) {
 }
 
 TEST(ParallelExecutor, CountsSumAcrossPartitionsIntoProvenance) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.threads = 2;
   Pipeline p("counts", options);
   p.Add("make", StageKind::kIngest,
@@ -262,7 +262,7 @@ TEST(ParallelExecutor, CountsSumAcrossPartitionsIntoProvenance) {
 }
 
 TEST(ParallelExecutor, FirstErrorByPartitionIndexWins) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.threads = 4;
   options.fail_fast = false;
   Pipeline p("errors", options);
@@ -292,7 +292,7 @@ TEST(ParallelExecutor, FirstErrorByPartitionIndexWins) {
 }
 
 TEST(ParallelExecutor, FailFastSkipsLaterStagesButMergesBundle) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.threads = 2;
   Pipeline p("failfast", options);
   std::atomic<bool> later_ran{false};
@@ -323,7 +323,7 @@ TEST(ParallelExecutor, FailFastSkipsLaterStagesButMergesBundle) {
 }
 
 TEST(ParallelExecutor, HooksRunSeriallyAroundPartitions) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.threads = 4;
   Pipeline p("hooks", options);
   auto order = std::make_shared<std::vector<std::string>>();
@@ -369,7 +369,7 @@ TEST(ParallelExecutor, HooksRunSeriallyAroundPartitions) {
 /// marks to every partition (total = n_parts^2). The visible total is
 /// therefore a direct observation of whether the boundary fused.
 uint64_t VisibleMarks(bool after_hook_on_first) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.threads = 2;
   Pipeline p("fusion-probe", options);
   p.Add("make", StageKind::kIngest,
@@ -642,7 +642,7 @@ std::string RunForFacts(Pipeline& p) {
 }
 
 TEST(ExecutorCharacterization, SerialStageWithHooksRetriedAfterFault) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 11;
   options.threads = 1;
   FaultSite site;
@@ -665,7 +665,7 @@ TEST(ExecutorCharacterization, SerialStageWithHooksRetriedAfterFault) {
 }
 
 Pipeline QuarantineGroupPipeline(Backend backend, size_t workers) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 12;
   options.backend = backend;
   options.threads = workers;
@@ -716,7 +716,7 @@ TEST(ExecutorCharacterization, FusedGroupQuarantinesPartitionOnSpmd) {
 }
 
 TEST(ExecutorCharacterization, SkippedRowsAfterGroupFailure) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 13;
   options.threads = 2;
   options.fail_fast = false;
@@ -744,7 +744,7 @@ TEST(ExecutorCharacterization, SkippedRowsAfterGroupFailure) {
 }
 
 Pipeline WindowPipeline(Backend backend, size_t workers) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.seed = 14;
   options.backend = backend;
   options.threads = workers;

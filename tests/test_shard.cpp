@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "largest_new.hpp"
 #include "shard/example.hpp"
 #include "shard/manifest.hpp"
 #include "shard/shard_reader.hpp"
@@ -251,6 +252,42 @@ TEST(ShardReader, CorruptShardSurfacesDataLoss) {
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader->ReadShard(Split::kTrain, 0).status().code(),
             StatusCode::kDataLoss);
+}
+
+TEST(ShardReader, RecordCountClaimBeyondTheFileIsDataLoss) {
+  // 256 records of about 300 bytes each, then a manifest claiming 2^62
+  // records (or just under the file's byte count). Reading must fail with
+  // no allocation much beyond the file itself.
+  par::StripedStore store;
+  ShardWriterConfig config;
+  config.directory = "/ds/claim";
+  ShardWriter writer(store, config);
+  for (int i = 0; i < 256; ++i) {
+    Example ex = MakeExample("k" + std::to_string(i), 1.0f);
+    ex.features["z"] = NDArray::FromVector<float>(
+        {64}, std::vector<float>(64, static_cast<float>(i)));
+    writer.AddTo(Split::kTrain, ex).OrDie();
+  }
+  const DatasetManifest written = writer.Finalize().value();
+  const size_t file_size =
+      store.ReadAll(written.shards.at(Split::kTrain)[0].file)->size();
+  ASSERT_GT(file_size, size_t{256} * 256);
+
+  for (const uint64_t claim : {uint64_t{1} << 62, uint64_t{file_size - 1}}) {
+    DatasetManifest manifest = written;
+    manifest.shards.at(Split::kTrain)[0].records = claim;
+    store.Replace(ShardWriter::ManifestPath("/ds/claim"), manifest.Serialize())
+        .OrDie();
+    const auto reader = ShardReader::Open(store, "/ds/claim");
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+    g_largest_new = 0;
+    StatusCode code = StatusCode::kOk;
+    EXPECT_NO_THROW(code = reader->ReadShard(Split::kTrain, 0).status().code())
+        << claim;
+    EXPECT_EQ(code, StatusCode::kDataLoss) << claim;
+    EXPECT_LT(g_largest_new.load(), 2 * file_size) << claim;
+  }
 }
 
 // ---- collate -----------------------------------------------------------------

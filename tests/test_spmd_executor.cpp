@@ -116,7 +116,7 @@ struct RunArtifacts {
 };
 
 RunArtifacts RunBackendPipeline(Backend backend, size_t workers) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.backend = backend;
   options.threads = workers;
   options.seed = 4321;
@@ -192,7 +192,7 @@ TEST(SpmdExecutor, OutputIdenticalToThreadBackendAtEveryWorldSize) {
 TEST(SpmdExecutor, ProvenanceParamsAreBackendInvariant) {
   // The backend is an execution detail, not data lineage: provenance must
   // not mention it, or thread and SPMD record hashes could never match.
-  PipelineOptions options;
+  ExecutionOptions options;
   options.backend = Backend::kSpmd;
   options.threads = 2;
   Pipeline p("prov-backend", options);
@@ -229,7 +229,7 @@ TEST(ExecutionBackend, FactoryAndNames) {
 
 TEST(SpmdExecutor, PartialsArriveInAscendingPartitionOrder) {
   for (Backend backend : {Backend::kThread, Backend::kSpmd}) {
-    PipelineOptions options;
+    ExecutionOptions options;
     options.backend = backend;
     options.threads = 3;
     Pipeline p("partial-order", options);
@@ -283,7 +283,7 @@ TEST(StageContext, PartialsEmptyOutsideAfterHook) {
 // ---- SPMD error paths --------------------------------------------------------
 
 TEST(SpmdExecutor, PartitionErrorSurfacesByLowestIndex) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.backend = Backend::kSpmd;
   options.threads = 4;
   options.fail_fast = false;
@@ -313,7 +313,7 @@ TEST(SpmdExecutor, PartitionErrorSurfacesByLowestIndex) {
 }
 
 TEST(SpmdExecutor, StageExceptionBecomesStatusNotCrash) {
-  PipelineOptions options;
+  ExecutionOptions options;
   options.backend = Backend::kSpmd;
   options.threads = 2;
   Pipeline p("spmd-throw", options);
@@ -341,7 +341,7 @@ TEST(SpmdExecutor, StageExceptionBecomesStatusNotCrash) {
 TEST(SpmdExecutor, WorldLargerThanPartitionCountStillCoversAll) {
   // 8 ranks, 2 partitions: six ranks idle through the collectives without
   // deadlocking, and every partition still merges back.
-  PipelineOptions options;
+  ExecutionOptions options;
   options.backend = Backend::kSpmd;
   options.threads = 8;
   options.seed = 4321;
@@ -370,7 +370,7 @@ TEST(SpmdExecutor, QuarantineDropsSamePartitionOnEveryRankCount) {
   // dropped identically for any rank world size — the ranks agree on the
   // quarantine set through a collective before merging.
   auto run = [](size_t ranks) {
-    PipelineOptions options;
+    ExecutionOptions options;
     options.backend = Backend::kSpmd;
     options.threads = ranks;
     FaultSite site;
