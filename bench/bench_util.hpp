@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "domains/bio.hpp"
 #include "domains/climate.hpp"
+#include "domains/fusion.hpp"
+#include "domains/materials.hpp"
 #include "parallel/striped_store.hpp"
 
 namespace drai::bench {
@@ -86,17 +89,37 @@ struct RunAndHashResult {
   std::string provenance_hash;      ///< the run's provenance graph hash
 };
 
-/// Run the climate archetype against a fresh in-memory store and fingerprint
-/// what it wrote — the one helper behind every "same bytes under different
+/// The archetype entry point for each config type, so one template can run
+/// any of the four.
+inline Result<domains::ArchetypeResult> RunArchetypeConfig(
+    par::StripedStore& store, const domains::ClimateArchetypeConfig& config) {
+  return domains::RunClimateArchetype(store, config);
+}
+inline Result<domains::ArchetypeResult> RunArchetypeConfig(
+    par::StripedStore& store, const domains::FusionArchetypeConfig& config) {
+  return domains::RunFusionArchetype(store, config);
+}
+inline Result<domains::BioArchetypeResult> RunArchetypeConfig(
+    par::StripedStore& store, const domains::BioArchetypeConfig& config) {
+  return domains::RunBioArchetype(store, config);
+}
+inline Result<domains::MaterialsArchetypeResult> RunArchetypeConfig(
+    par::StripedStore& store, const domains::MaterialsArchetypeConfig& config) {
+  return domains::RunMaterialsArchetype(store, config);
+}
+
+/// Run an archetype against a fresh in-memory store and fingerprint what it
+/// wrote — the one helper behind every "same bytes under different
 /// execution" check (worker counts, backends, faults, overlap windows).
-inline RunAndHashResult RunAndHash(
-    const domains::ClimateArchetypeConfig& config) {
+/// `Config` is any of the four archetype configs.
+template <typename Config>
+RunAndHashResult RunAndHash(const Config& config) {
   par::StripedStore store;
   RunAndHashResult out;
-  auto run = domains::RunClimateArchetype(store, config);
+  auto run = RunArchetypeConfig(store, config);
   out.status = run.status();
   if (!run.ok()) return out;
-  out.result = std::move(*run);
+  out.result = std::move(*run);  // keeps the shared ArchetypeResult part
   out.data_hash = DatasetHash(store, config.dataset_dir);
   out.provenance_hash = out.result.provenance_hash;
   return out;

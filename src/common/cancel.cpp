@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/timer.hpp"
+
 namespace drai {
 
 bool SleepUnlessCancelled(double ms, const CancelToken& token) {

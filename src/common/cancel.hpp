@@ -4,23 +4,21 @@
 // shared cancellation state; copies observe the same flag. Cancellation is
 // cooperative: nothing is preempted — long-running code polls `Cancelled()`
 // (stage bodies via `StageContext::Cancelled()`, injected hangs via
-// `SleepUnlessCancelled`) and unwinds with kDeadlineExceeded. A token can
-// also carry a Deadline, after which it reads as cancelled without anyone
-// calling Cancel().
+// `SleepUnlessCancelled`) and unwinds with kDeadlineExceeded. Deadlines
+// live outside the token: the attempt watchdog cancels an attempt whose hard
+// deadline passed.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "common/status.hpp"
-#include "common/timer.hpp"
 
 namespace drai {
 
-/// Shared cooperative cancellation flag with a reason and optional deadline.
+/// Shared cooperative cancellation flag with a reason.
 /// Copying is cheap (shared_ptr); all copies see the same state. Thread-safe.
 class CancelToken {
  public:
@@ -34,25 +32,13 @@ class CancelToken {
     state_->cancelled.store(true, std::memory_order_release);
   }
 
-  /// Arm (or replace) a deadline; the token reads as cancelled once it
-  /// passes. Stored as steady-clock nanos so polling stays lock-free.
-  void SetDeadline(const Deadline& deadline) const {
-    state_->deadline_ns.store(
-        deadline.infinite() ? kNoDeadline
-                            : deadline.when().time_since_epoch().count(),
-        std::memory_order_release);
-  }
-
-  /// True once Cancel() was called or the armed deadline passed. Lock-free;
-  /// safe to poll at record granularity inside stage bodies.
+  /// True once Cancel() was called. One atomic load; safe to poll at record
+  /// granularity inside stage bodies.
   [[nodiscard]] bool Cancelled() const {
-    if (state_->cancelled.load(std::memory_order_acquire)) return true;
-    int64_t ns = state_->deadline_ns.load(std::memory_order_acquire);
-    return ns != kNoDeadline &&
-           Deadline::Clock::now().time_since_epoch().count() >= ns;
+    return state_->cancelled.load(std::memory_order_acquire);
   }
 
-  /// The reason passed to Cancel(), or "" when only a deadline expired.
+  /// The reason passed to Cancel(), or "" before anyone cancelled.
   [[nodiscard]] std::string reason() const {
     std::lock_guard<std::mutex> lock(state_->mu);
     return state_->reason;
@@ -71,10 +57,8 @@ class CancelToken {
   }
 
  private:
-  static constexpr int64_t kNoDeadline = INT64_MIN;
   struct State {
     std::atomic<bool> cancelled{false};
-    std::atomic<int64_t> deadline_ns{kNoDeadline};
     std::mutex mu;      // guards reason
     std::string reason;
   };

@@ -157,10 +157,12 @@ Result<SdfDataset> SdfDataset::Deserialize(ByteReader& r) {
   if (n_chunks != expected_chunks) {
     return DataLoss("sdf dataset: chunk count mismatch");
   }
-  d.chunks_.resize(n_chunks);
-  for (auto& c : d.chunks_) {
+  // Grow per chunk read, never from the claimed count.
+  for (uint64_t k = 0; k < n_chunks; ++k) {
+    Chunk c;
     DRAI_RETURN_IF_ERROR(r.GetBlob(c.encoded));
     DRAI_RETURN_IF_ERROR(r.GetU32(c.raw_crc));
+    d.chunks_.push_back(std::move(c));
   }
   return d;
 }

@@ -150,8 +150,11 @@ Result<AttrValue> ReadAttr(ByteReader& r) {
       uint64_t n = 0;
       DRAI_RETURN_IF_ERROR(r.GetVarU64(n));
       if (n > (1ull << 24)) return DataLoss("attr: vector too large");
-      v.vec.resize(n);
-      for (auto& x : v.vec) DRAI_RETURN_IF_ERROR(r.GetF64(x));
+      for (uint64_t k = 0; k < n; ++k) {  // grow per value read
+        double x = 0;
+        DRAI_RETURN_IF_ERROR(r.GetF64(x));
+        v.vec.push_back(x);
+      }
       break;
     }
     default:

@@ -27,12 +27,6 @@ ThreadBackend::ThreadBackend(size_t threads) : threads_(threads) {
 
 ThreadBackend::~ThreadBackend() = default;
 
-size_t ThreadBackend::concurrency() const {
-  if (threads_ == 1) return 1;
-  if (pool_) return pool_->thread_count();
-  return par::GlobalPool().thread_count();
-}
-
 void ThreadBackend::Map(const PartitionTask& task) {
   // Workers share the scheduler's memory, so no pack/unpack transport.
   const bool inline_run =

@@ -42,7 +42,9 @@ std::string_view BackendName(Backend b);
 /// One parallel map the scheduler hands to a backend: invoke `run(p)`
 /// exactly once for every partition p in [0, n_parts). `run` never throws
 /// and is safe to call concurrently for distinct p (partitions own
-/// disjoint state).
+/// disjoint state). An overlap window is one map over its root partitions:
+/// `run(p)` streams root p through every level of the window depth-first,
+/// so a backend never sees work discovered during the map.
 ///
 /// `pack`/`unpack` are the cross-rank transport for per-partition outcomes
 /// (status, metrics, provenance notes, reduction partials): a backend whose
@@ -69,21 +71,14 @@ struct PartitionTask {
   double collective_timeout_ms = 0.0;
 };
 
-/// Strategy interface: execute a PartitionTask. Implementations may throw
-/// (e.g. on a transport fault); the scheduler converts that into a failing
-/// stage status.
+/// Strategy interface: execute a PartitionTask. A backend decides only
+/// where partitions run; the plan fixes their count and merge order.
+/// Implementations may throw (e.g. on a transport fault); the scheduler
+/// converts that into a failing stage status.
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Concurrency available to partition dispatch (threads or ranks).
-  [[nodiscard]] virtual size_t concurrency() const = 0;
-  /// True when the backend's workers share the scheduler's memory and may
-  /// pull work discovered *during* the map (a shared work queue). The
-  /// overlap scheduler uses this to choose between the work-crew shape
-  /// (threads drain a PartitionChannel) and the static rank-local shape
-  /// (each rank runs its own partitions' downstream chains depth-first).
-  [[nodiscard]] virtual bool dynamic_tasks() const { return false; }
   virtual void Map(const PartitionTask& task) = 0;
 };
 
@@ -96,8 +91,6 @@ class ThreadBackend final : public ExecutionBackend {
   ~ThreadBackend() override;
 
   [[nodiscard]] std::string_view name() const override { return "thread"; }
-  [[nodiscard]] size_t concurrency() const override;
-  [[nodiscard]] bool dynamic_tasks() const override { return true; }
   void Map(const PartitionTask& task) override;
 
  private:
@@ -115,7 +108,6 @@ class SpmdBackend final : public ExecutionBackend {
   explicit SpmdBackend(size_t ranks);
 
   [[nodiscard]] std::string_view name() const override { return "spmd"; }
-  [[nodiscard]] size_t concurrency() const override { return ranks_; }
   void Map(const PartitionTask& task) override;
 
  private:

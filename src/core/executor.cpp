@@ -13,7 +13,6 @@
 #include "common/timer.hpp"
 #include "core/checkpoint.hpp"
 #include "core/partitioner.hpp"
-#include "core/stream.hpp"
 #include "core/watchdog.hpp"
 #include "parallel/communicator.hpp"
 
@@ -553,10 +552,6 @@ ParallelExecutor::ParallelExecutor(ParallelExecutor&&) noexcept = default;
 ParallelExecutor& ParallelExecutor::operator=(ParallelExecutor&&) noexcept =
     default;
 
-size_t ParallelExecutor::thread_count() const {
-  return backend_->concurrency();
-}
-
 PipelineReport ParallelExecutor::Run(const PipelinePlan& plan,
                                      DataBundle& bundle,
                                      const ExecutorRunScope& scope) {
@@ -902,17 +897,7 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
   };
 
   // Process item (level, q) to completion: run its chain in place, then
-  // re-split and hand the children on — preferably through the channel
-  // (another crew worker picks them up), inline otherwise. `outstanding`
-  // counts unfinished items; children are counted before their parent
-  // retires, so the count can only reach zero when the whole cascade is
-  // done — that closes the channel and releases the crew.
-  struct WindowItem {
-    size_t level = 0;
-    size_t q = 0;
-  };
-  PartitionChannel<WindowItem>* chan_ptr = nullptr;
-  std::atomic<size_t> outstanding{0};
+  // re-split it and process each child the same way, depth-first.
   std::function<void(size_t, size_t)> process = [&](size_t level, size_t q) {
     std::vector<PartResult> row(l_last[level] - l_first[level]);
     std::optional<DataBundle> q_slice;
@@ -931,23 +916,7 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
       results[l_first[level] - first + i][q] = std::move(row[i]);
     }
     if (q_slice.has_value()) q_slices[q] = std::move(q_slice);
-    std::vector<size_t> inline_children;
-    if (chan_ptr != nullptr) {
-      outstanding.fetch_add(children.size(), std::memory_order_acq_rel);
-      for (size_t c : children) {
-        // Pushes never block — a full channel means the producer runs the
-        // child itself — which keeps the crew deadlock-free at any size.
-        if (!chan_ptr->TryPush(WindowItem{level + 1, c})) {
-          inline_children.push_back(c);
-        }
-      }
-      if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        chan_ptr->Close();
-      }
-    } else {
-      inline_children = std::move(children);
-    }
-    for (size_t c : inline_children) process(level + 1, c);
+    for (size_t c : children) process(level + 1, c);
   };
 
   // ---- Speculation's commit cells. The first copy to claim the
@@ -1049,39 +1018,19 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
     runner.watchdog = watchdog.get();
   }
 
-  // ---- Dispatch. A multi-level window on a backend that takes dynamic
-  // tasks runs as a work crew: the channel is seeded with the roots and
-  // `crew` backend slots drain it, and committed children re-enter the
-  // same channel. Everything else is static per root: the worker (or rank)
-  // that owns root p runs p's entire downstream cone depth-first, and a
-  // distributed backend gathers once per window, not once per level.
+  // ---- Dispatch. One static shape for every group and window: the worker
+  // (or rank) that owns root p runs p's entire downstream cone depth-first,
+  // so a distributed backend gathers once per window, not once per level.
   PartitionTask task;
   task.collective_timeout_ms = collective_ms;
-  std::optional<PartitionChannel<WindowItem>> chan;
-  if (streaming && backend_->dynamic_tasks()) {
-    const size_t max_parts = *std::max_element(nparts.begin(), nparts.end());
-    const size_t crew =
-        std::max<size_t>(1, std::min(backend_->concurrency(), max_parts));
-    chan.emplace(n_roots + 2 * crew);
-    chan_ptr = &*chan;
-    outstanding.store(n_roots, std::memory_order_relaxed);
-    for (size_t p = 0; p < n_roots; ++p) {
-      chan->TryPush(WindowItem{0, p});  // capacity >= n_roots: cannot fail
+  task.n_parts = n_roots;
+  task.run = [&](size_t p) {
+    if (speculate) {
+      run_copy(p, false);
+    } else {
+      process(0, p);
     }
-    task.n_parts = crew;
-    task.run = [&](size_t) {
-      while (auto item = chan_ptr->Pop()) process(item->level, item->q);
-    };
-  } else {
-    task.n_parts = n_roots;
-    task.run = [&](size_t p) {
-      if (speculate) {
-        run_copy(p, false);
-      } else {
-        process(0, p);
-      }
-    };
-  }
+  };
   if (any_quarantine) {
     // Lets a distributed backend reach cross-rank agreement on the dropped
     // set (par::AgreeQuarantine) before the scheduler merges.

@@ -202,10 +202,6 @@ class ParallelExecutor {
                      const ExecutorRunScope& scope);
 
   [[nodiscard]] const ExecutionOptions& options() const { return options_; }
-  /// Concurrency actually available to partition dispatch (threads or
-  /// ranks, depending on the backend).
-  [[nodiscard]] size_t thread_count() const;
-  [[nodiscard]] const ExecutionBackend& backend() const { return *backend_; }
 
  private:
   /// Run one serial stage (hooks included) through the attempt runner.

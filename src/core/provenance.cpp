@@ -199,11 +199,13 @@ Result<ProvenanceGraph> ProvenanceGraph::Parse(
   uint64_t n_artifacts = 0;
   DRAI_RETURN_IF_ERROR(r.GetVarU64(n_artifacts));
   if (n_artifacts > (1ull << 24)) return DataLoss("provenance: implausible");
-  g.artifacts_.resize(n_artifacts);
-  for (auto& a : g.artifacts_) {
+  // Every container grows per element read, never from a claimed count.
+  for (uint64_t k = 0; k < n_artifacts; ++k) {
+    Artifact a;
     DRAI_RETURN_IF_ERROR(r.GetString(a.name));
     DRAI_RETURN_IF_ERROR(r.GetString(a.sha256_hex));
     DRAI_RETURN_IF_ERROR(r.GetU64(a.bytes));
+    g.artifacts_.push_back(std::move(a));
   }
   uint64_t n_activities = 0;
   DRAI_RETURN_IF_ERROR(r.GetVarU64(n_activities));
@@ -222,18 +224,16 @@ Result<ProvenanceGraph> ProvenanceGraph::Parse(
     }
     uint64_t n_in = 0, n_out = 0;
     DRAI_RETURN_IF_ERROR(r.GetVarU64(n_in));
-    act.inputs.resize(n_in);
-    for (auto& i : act.inputs) {
+    for (uint64_t i = 0; i < n_in; ++i) {
       uint64_t v = 0;
       DRAI_RETURN_IF_ERROR(r.GetVarU64(v));
-      i = static_cast<size_t>(v);
+      act.inputs.push_back(static_cast<size_t>(v));
     }
     DRAI_RETURN_IF_ERROR(r.GetVarU64(n_out));
-    act.outputs.resize(n_out);
-    for (auto& o : act.outputs) {
+    for (uint64_t o = 0; o < n_out; ++o) {
       uint64_t v = 0;
       DRAI_RETURN_IF_ERROR(r.GetVarU64(v));
-      o = static_cast<size_t>(v);
+      act.outputs.push_back(static_cast<size_t>(v));
     }
     DRAI_RETURN_IF_ERROR(r.GetF64(act.seconds));
     DRAI_RETURN_IF_ERROR(g.AddActivity(std::move(act)));

@@ -85,14 +85,16 @@ Result<AuditLog> AuditLog::Parse(std::span<const std::byte> bytes) {
   DRAI_RETURN_IF_ERROR(r.GetVarU64(n));
   if (n > (1ull << 24)) return DataLoss("audit log: implausible size");
   AuditLog log;
-  log.entries_.resize(n);
-  for (auto& e : log.entries_) {
+  // Grow per entry read, never from the claimed count.
+  for (uint64_t k = 0; k < n; ++k) {
+    AuditEntry e;
     DRAI_RETURN_IF_ERROR(r.GetU64(e.sequence));
     DRAI_RETURN_IF_ERROR(r.GetString(e.actor));
     DRAI_RETURN_IF_ERROR(r.GetString(e.action));
     DRAI_RETURN_IF_ERROR(r.GetString(e.detail));
     DRAI_RETURN_IF_ERROR(r.GetString(e.prev_hash_hex));
     DRAI_RETURN_IF_ERROR(r.GetString(e.hash_hex));
+    log.entries_.push_back(std::move(e));
   }
   DRAI_RETURN_IF_ERROR(log.Verify());
   return log;

@@ -18,15 +18,16 @@
 
 #include "bench_util.hpp"
 #include "core/backend.hpp"
-#include "domains/climate.hpp"
 
 namespace drai::testing {
 
-/// One differential sweep. Mutates only execution knobs (overlap, backend,
-/// threads) on `config`; whatever workload/fault/retry/deadline shape the
-/// caller set is what every cell runs.
-inline void ExpectDifferentialIdentity(
-    domains::ClimateArchetypeConfig config,
+/// One differential sweep over any of the four archetype configs. Mutates
+/// only execution knobs (overlap, backend, threads) on `config`; whatever
+/// workload/fault/retry/deadline shape the caller set is what every cell
+/// runs.
+template <typename Config>
+void ExpectDifferentialIdentity(
+    Config config,
     const std::vector<core::Backend>& backends = {core::Backend::kThread,
                                                   core::Backend::kSpmd},
     const std::vector<size_t>& worker_counts = {1, 2, 4, 8}) {
@@ -108,6 +109,33 @@ inline domains::ClimateArchetypeConfig HangDifferentialConfig() {
   config.faults.hang_ms = 1200;
   config.retry.max_attempts = 5;
   config.deadline.hard_ms = 400;
+  return config;
+}
+
+/// drbench's tiny fusion, bio and materials workloads (its domains-mix at
+/// `--size tiny`). None of them marks a boundary kStream, so the overlap
+/// switch leaves their groups barriered; the sweep proves backends and
+/// worker counts.
+inline domains::FusionArchetypeConfig SmallFusionDifferentialConfig() {
+  domains::FusionArchetypeConfig config;
+  config.workload.n_shots = 4;
+  config.workload.unlabeled_fraction = 0.2;
+  return config;
+}
+
+inline domains::BioArchetypeConfig SmallBioDifferentialConfig() {
+  domains::BioArchetypeConfig config;
+  config.workload.n_subjects = 24;
+  config.k_anonymity = 4;
+  return config;
+}
+
+inline domains::MaterialsArchetypeConfig SmallMaterialsDifferentialConfig() {
+  domains::MaterialsArchetypeConfig config;
+  config.workload.n_structures = 12;
+  config.workload.min_atoms = 6;
+  config.workload.max_atoms = 10;
+  config.rebalance = false;
   return config;
 }
 

@@ -2,8 +2,13 @@
 // datasets, partial reads, corruption detection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "container/sdf.hpp"
+#include "largest_new.hpp"
 
 namespace drai::container {
 namespace {
@@ -177,6 +182,70 @@ TEST(Sdf, DatasetStoredFromView) {
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(data->shape(), (Shape{4, 6}));
   EXPECT_EQ(data->GetAsDouble(1), base.GetAsDouble(4));  // t[0,1] == base[1,0]
+}
+
+// ---- hostile counts ---------------------------------------------------------
+
+/// An SDF file whose root group's body is `body`, under a valid header and
+/// CRC, so parsing reaches the counts.
+Bytes SdfWithRoot(const Bytes& body) {
+  const Bytes empty = SdfFile().Serialize();
+  ByteWriter w;
+  w.PutRaw(empty.data(), 6);  // magic + version
+  w.PutRaw(body.data(), body.size());
+  w.PutU32(Crc32(w.bytes()));
+  return w.Take();
+}
+
+/// Parse `bytes`; expect kDataLoss, no throw, and no single allocation
+/// beyond what the input justifies.
+void ExpectSdfDataLoss(const Bytes& bytes, const std::string& label) {
+  g_largest_new = 0;
+  StatusCode code = StatusCode::kOk;
+  EXPECT_NO_THROW(code = SdfFile::Parse(bytes).status().code()) << label;
+  EXPECT_EQ(code, StatusCode::kDataLoss) << label;
+  EXPECT_LE(g_largest_new.load(), 32 * bytes.size() + (size_t{64} << 10))
+      << label;
+}
+
+TEST(Sdf, ChunkCountBeyondThePayloadIsDataLoss) {
+  // One dataset of one-row chunks whose shape[0] and chunk count agree on
+  // a claim the file cannot hold: 2^62, 2^24, or 2^20 over 1024 real chunks.
+  for (const auto& [claim, real] :
+       {std::pair<uint64_t, size_t>{uint64_t{1} << 62, 0},
+        {uint64_t{1} << 24, 0},
+        {uint64_t{1} << 20, 1024}}) {
+    ByteWriter w;
+    w.PutVarU64(0);  // attrs
+    w.PutVarU64(1);  // datasets
+    w.PutString("x");
+    w.PutU8(static_cast<uint8_t>(DType::kF32));
+    w.PutVarU64(1);  // rank
+    w.PutVarU64(claim);
+    w.PutVarU64(1);  // chunk_rows
+    w.PutU8(static_cast<uint8_t>(codec::Codec::kNone));
+    w.PutVarU64(claim);
+    for (size_t i = 0; i < real; ++i) {
+      w.PutBlob({});
+      w.PutU32(0);
+    }
+    ExpectSdfDataLoss(SdfWithRoot(w.Take()),
+                      std::to_string(claim) + "/" + std::to_string(real));
+  }
+}
+
+TEST(Sdf, AttrVectorLengthBeyondThePayloadIsDataLoss) {
+  // A root attr holding a double vector whose length sits at the 2^24 cap,
+  // over no values or over 4096 real ones.
+  for (const size_t real : {size_t{0}, size_t{4096}}) {
+    ByteWriter w;
+    w.PutVarU64(1);  // attrs
+    w.PutString("v");
+    w.PutU8(static_cast<uint8_t>(AttrValue::Kind::kDoubleVec));
+    w.PutVarU64(uint64_t{1} << 24);
+    for (size_t i = 0; i < real; ++i) w.PutF64(0.5);
+    ExpectSdfDataLoss(SdfWithRoot(w.Take()), std::to_string(real));
+  }
 }
 
 }  // namespace

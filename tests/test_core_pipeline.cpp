@@ -2,6 +2,10 @@
 // execution metrics, the feedback loop, and provenance capture.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "common/hash.hpp"
 #include "core/bundle.hpp"
 #include "core/pipeline.hpp"
 #include "core/provenance.hpp"
@@ -379,6 +383,68 @@ TEST(Provenance, RecordHashSensitiveToEverything) {
   };
   EXPECT_EQ(build("1"), build("1"));
   EXPECT_NE(build("1"), build("2"));
+}
+
+/// A provenance record from `body` (which starts after the magic), framed
+/// with the magic and a valid CRC, so parsing reaches the counts.
+Bytes ProvenanceRecord(const Bytes& body) {
+  ByteWriter w;
+  w.PutRaw("PRV1", 4);
+  w.PutRaw(body.data(), body.size());
+  w.PutU32(Crc32(w.bytes()));
+  return w.Take();
+}
+
+/// Parse `bytes`; expect kDataLoss, no throw, and no single allocation
+/// beyond what the input justifies.
+void ExpectProvenanceDataLoss(const Bytes& bytes, const std::string& label) {
+  g_largest_new = 0;
+  StatusCode code = StatusCode::kOk;
+  EXPECT_NO_THROW(code = ProvenanceGraph::Parse(bytes).status().code())
+      << label;
+  EXPECT_EQ(code, StatusCode::kDataLoss) << label;
+  EXPECT_LE(g_largest_new.load(), 32 * bytes.size() + (size_t{64} << 10))
+      << label;
+}
+
+TEST(Provenance, EdgeCountBeyondThePayloadIsDataLoss) {
+  // One activity whose input (or output) count overruns the record: 2^62,
+  // 2^28, or 2^20 over 4096 real one-byte edges.
+  for (const bool outputs : {false, true}) {
+    for (const auto& [claim, real] :
+         {std::pair<uint64_t, size_t>{uint64_t{1} << 62, 0},
+          {uint64_t{1} << 28, 0},
+          {uint64_t{1} << 20, 4096}}) {
+      ByteWriter w;
+      w.PutVarU64(0);  // artifacts
+      w.PutVarU64(1);  // activities
+      w.PutString("a");
+      w.PutString("ingest");
+      w.PutVarU64(0);  // params
+      if (outputs) w.PutVarU64(0);  // inputs
+      w.PutVarU64(claim);
+      for (size_t i = 0; i < real; ++i) w.PutVarU64(0);
+      ExpectProvenanceDataLoss(
+          ProvenanceRecord(w.Take()),
+          std::string(outputs ? "outputs " : "inputs ") +
+              std::to_string(claim) + "/" + std::to_string(real));
+    }
+  }
+}
+
+TEST(Provenance, ArtifactCountBeyondThePayloadIsDataLoss) {
+  // The count sits at the 2^24 plausibility cap; 1024 real artifacts follow.
+  for (const size_t real : {size_t{0}, size_t{1024}}) {
+    ByteWriter w;
+    w.PutVarU64(uint64_t{1} << 24);
+    for (size_t i = 0; i < real; ++i) {
+      w.PutString("");
+      w.PutString("");
+      w.PutU64(0);
+    }
+    ExpectProvenanceDataLoss(ProvenanceRecord(w.Take()),
+                             "artifacts " + std::to_string(real));
+  }
 }
 
 TEST(Provenance, SerializeRoundTrip) {

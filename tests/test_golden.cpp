@@ -223,28 +223,26 @@ struct Digests {
 
 /// Run one archetype in one cell against a fresh store; digest its dataset
 /// directory.
-template <typename Config, typename RunFn>
-Digests DigestCell(const Config& base, RunFn run, const Cell& cell) {
-  par::StripedStore store;
+template <typename Config>
+Digests DigestCell(const Config& base, const Cell& cell) {
   par::StripedStore checkpoint_store;
   core::StoreCheckpointSink sink(checkpoint_store, "/checkpoints");
-  const Config config = WithCell(base, cell, sink);
-  auto result = run(store, config);
-  EXPECT_TRUE(result.ok()) << cell.name << ": " << result.status().ToString();
-  if (!result.ok()) return {};
-  Digests out{bench::DatasetHash(store, config.dataset_dir),
-              result->provenance_hash};
-  for (const auto& stage : result->report.stages) {
+  const bench::RunAndHashResult run =
+      bench::RunAndHash(WithCell(base, cell, sink));
+  EXPECT_TRUE(run.status.ok()) << cell.name << ": " << run.status.ToString();
+  if (!run.status.ok()) return {};
+  Digests out{run.data_hash, run.provenance_hash};
+  for (const auto& stage : run.result.report.stages) {
     out.retries += stage.attempts - stage.partitions;
   }
-  out.checkpoint_saves = result->report.checkpoint_saves;
+  out.checkpoint_saves = run.result.report.checkpoint_saves;
   return out;
 }
 
-template <typename Config, typename RunFn>
-void ExpectPinned(const Config& base, RunFn run, const Digests& pinned) {
+template <typename Config>
+void ExpectPinned(const Config& base, const Digests& pinned) {
   for (const Cell& cell : kCells) {
-    const Digests got = DigestCell(base, run, cell);
+    const Digests got = DigestCell(base, cell);
     EXPECT_EQ(got.data, pinned.data) << cell.name;
     EXPECT_EQ(got.provenance, pinned.provenance) << cell.name;
     // The fault cell proves something only if a fault fired and was retried,
@@ -268,7 +266,7 @@ TEST(Golden, ClimateArchetype) {
   config.target_lat = 16;
   config.target_lon = 32;
   ExpectPinned(
-      config, domains::RunClimateArchetype,
+      config,
       {"4c107dccd3ed798ce9a1a828651d3e8eb9ba1cf442d8a4e41df2d3c14baefb9c",
        "380dc5d6afe9f90ff7e5e25f95fe05483cbfc7a7816aa6577c452c474fd32c33"});
 }
@@ -279,7 +277,7 @@ TEST(Golden, FusionArchetype) {
   config.workload.n_shots = 4;
   config.workload.unlabeled_fraction = 0.2;
   ExpectPinned(
-      config, domains::RunFusionArchetype,
+      config,
       {"c0263495cfb1bab8318d111d4c26ab1c563c6a49b15a020818f4ea5c39ce234a",
        "64a5e8225d746f32b9f369ab76d0d74c87fb7cfe3de561b3fce7bc6e2fc6a18d"});
 }
@@ -289,7 +287,7 @@ TEST(Golden, BioArchetype) {
   domains::BioArchetypeConfig config;
   config.workload.n_subjects = 24;
   ExpectPinned(
-      config, domains::RunBioArchetype,
+      config,
       {"6ef1576defa2da029333d66fcdf1d12fcd34f231635b59d6fe3111c9c4390585",
        "cb002440618e199814d72e52ce5dfe7dca775cac3a5a574d6c67e583b5c54fde"});
 }
@@ -299,7 +297,7 @@ TEST(Golden, MaterialsArchetype) {
   domains::MaterialsArchetypeConfig config;
   config.workload.n_structures = 12;
   ExpectPinned(
-      config, domains::RunMaterialsArchetype,
+      config,
       {"01f53e09e2013375b9a0089260340a1e62267373e659e9ea826c2d12a6206d0e",
        "cb09680e57fb074bcf2a14a45980d0298c6ea86f9c84120c818dcb9b51f6ae51"});
 }

@@ -75,15 +75,6 @@ TEST(CancelToken, CopiesShareState) {
   EXPECT_TRUE(a.Cancelled());
 }
 
-TEST(CancelToken, ExpiredDeadlineCancels) {
-  CancelToken token;
-  token.SetDeadline(Deadline::AfterMs(1));
-  WallTimer t;
-  while (!token.Cancelled() && t.Seconds() < 5.0) {
-  }
-  EXPECT_TRUE(token.Cancelled());
-}
-
 TEST(CancelToken, SleepUnlessCancelledReturnsFalseWhenPreCancelled) {
   CancelToken token;
   token.Cancel("stop");

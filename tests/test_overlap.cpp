@@ -1,99 +1,23 @@
-// Tests for inter-stage pipelining (overlap windows): the PartitionChannel
-// primitive, the ComputeOverlapWindows legality pass, the streaming
-// scheduler itself, and the differential matrix proving that overlap is
-// invisible in the output — same bundle bytes, same provenance, same
-// report facts as barriered execution, on both backends, at any worker
-// count, with and without injected faults and hangs.
+// Tests for inter-stage pipelining (overlap windows): the
+// ComputeOverlapWindows legality pass, the streaming scheduler itself (one
+// static shape on every backend: the worker or rank that owns a root
+// partition runs its whole downstream cone depth-first), and the
+// differential matrix proving that overlap is invisible in the output —
+// same bundle bytes, same provenance, same report facts as barriered
+// execution, on both backends, at any worker count, with and without
+// injected faults and hangs, for all four archetypes.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/executor.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
-#include "core/stream.hpp"
 #include "diff_harness.hpp"
 
 namespace drai::core {
 namespace {
-
-// ---- PartitionChannel -------------------------------------------------------
-
-TEST(PartitionChannel, PushPopIsFifo) {
-  PartitionChannel<int> chan(4);
-  EXPECT_TRUE(chan.TryPush(1));
-  EXPECT_TRUE(chan.TryPush(2));
-  EXPECT_TRUE(chan.TryPush(3));
-  EXPECT_EQ(chan.size(), 3u);
-  EXPECT_EQ(chan.Pop().value(), 1);
-  EXPECT_EQ(chan.Pop().value(), 2);
-  EXPECT_EQ(chan.Pop().value(), 3);
-}
-
-TEST(PartitionChannel, TryPushFailsWhenFullAndLeavesItemIntact) {
-  PartitionChannel<std::string> chan(1);
-  std::string a = "first";
-  std::string b = "second";
-  EXPECT_TRUE(chan.TryPush(std::move(a)));
-  EXPECT_FALSE(chan.TryPush(std::move(b)));
-  EXPECT_EQ(b, "second");  // untouched on failure: caller can run it inline
-  EXPECT_EQ(chan.Pop().value(), "first");
-}
-
-TEST(PartitionChannel, TryPopEmptyReturnsNullopt) {
-  PartitionChannel<int> chan(2);
-  EXPECT_FALSE(chan.TryPop().has_value());
-}
-
-TEST(PartitionChannel, CloseDrainsRemainingItemsThenSignalsShutdown) {
-  PartitionChannel<int> chan(4);
-  EXPECT_TRUE(chan.TryPush(7));
-  EXPECT_TRUE(chan.TryPush(8));
-  chan.Close();
-  EXPECT_TRUE(chan.closed());
-  EXPECT_FALSE(chan.TryPush(9));  // pushes fail after close
-  EXPECT_EQ(chan.Pop().value(), 7);  // pops drain what was queued
-  EXPECT_EQ(chan.Pop().value(), 8);
-  EXPECT_FALSE(chan.Pop().has_value());  // then report shutdown
-  chan.Close();  // idempotent
-}
-
-TEST(PartitionChannel, ZeroCapacityClampsToOne) {
-  PartitionChannel<int> chan(0);
-  EXPECT_EQ(chan.capacity(), 1u);
-  EXPECT_TRUE(chan.TryPush(1));
-  EXPECT_FALSE(chan.TryPush(2));
-}
-
-TEST(PartitionChannel, PopBlocksUntilPushArrives) {
-  PartitionChannel<int> chan(2);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_TRUE(chan.Push(42));
-  });
-  EXPECT_EQ(chan.Pop().value(), 42);  // blocks until the producer delivers
-  producer.join();
-}
-
-TEST(PartitionChannel, PopUnblocksOnCancel) {
-  PartitionChannel<int> chan(2);
-  CancelToken token;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    token.Cancel("test shutdown");
-  });
-  EXPECT_FALSE(chan.Pop(token).has_value());
-  canceller.join();
-}
-
-TEST(PartitionChannel, PopUnblocksOnDeadline) {
-  PartitionChannel<int> chan(2);
-  EXPECT_FALSE(chan.Pop(CancelToken(), Deadline::AfterMs(40)).has_value());
-}
 
 // ---- ComputeOverlapWindows --------------------------------------------------
 
@@ -655,6 +579,19 @@ TEST(OverlapDifferential, FaultedMatrixRecoversByteIdentically) {
 
 TEST(OverlapDifferential, HangingMatrixCancelsAndRecoversByteIdentically) {
   testing::ExpectDifferentialIdentity(testing::HangDifferentialConfig());
+}
+
+TEST(OverlapDifferential, FusionCleanMatrixIsByteIdentical) {
+  testing::ExpectDifferentialIdentity(testing::SmallFusionDifferentialConfig());
+}
+
+TEST(OverlapDifferential, BioCleanMatrixIsByteIdentical) {
+  testing::ExpectDifferentialIdentity(testing::SmallBioDifferentialConfig());
+}
+
+TEST(OverlapDifferential, MaterialsCleanMatrixIsByteIdentical) {
+  testing::ExpectDifferentialIdentity(
+      testing::SmallMaterialsDifferentialConfig());
 }
 
 }  // namespace

@@ -770,26 +770,28 @@ Pipeline WindowPipeline(Backend backend, size_t workers) {
   return p;
 }
 
+// One worker and more workers than roots (2 here) must report the same
+// rows as any other count: every window runs one static dispatch shape.
+constexpr const char* kTwoLevelWindowFacts =
+    "make s=0 serial p=1/0 b=0->128 a=1 t=0 q=[] ov=0\n"
+    "up-a s=0 partition_parallel p=2/2 b=128->256 a=2 t=0 q=[] ov=1\n"
+    "up-b s=0 partition_parallel p=2/2 b=256->384 a=2 t=0 q=[] ov=1\n"
+    "down s=0 partition_parallel p=8/8 b=384->512 a=9 t=0 q=[] ov=1\n"
+    "ok=1 error=0 windows=1\n"
+    "prov=af44ea2ba0cece09 data=8bfdc4d1a5d293b6\n";
+
 TEST(ExecutorCharacterization, TwoLevelWindowRetriesFault) {
-  Pipeline p = WindowPipeline(Backend::kThread, 3);
-  EXPECT_EQ(RunForFacts(p),
-            "make s=0 serial p=1/0 b=0->128 a=1 t=0 q=[] ov=0\n"
-            "up-a s=0 partition_parallel p=2/2 b=128->256 a=2 t=0 q=[] ov=1\n"
-            "up-b s=0 partition_parallel p=2/2 b=256->384 a=2 t=0 q=[] ov=1\n"
-            "down s=0 partition_parallel p=8/8 b=384->512 a=9 t=0 q=[] ov=1\n"
-            "ok=1 error=0 windows=1\n"
-            "prov=af44ea2ba0cece09 data=8bfdc4d1a5d293b6\n");
+  for (const size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+    Pipeline p = WindowPipeline(Backend::kThread, threads);
+    EXPECT_EQ(RunForFacts(p), kTwoLevelWindowFacts) << "threads=" << threads;
+  }
 }
 
 TEST(ExecutorCharacterization, TwoLevelWindowRetriesFaultOnSpmd) {
-  Pipeline p = WindowPipeline(Backend::kSpmd, 4);
-  EXPECT_EQ(RunForFacts(p),
-            "make s=0 serial p=1/0 b=0->128 a=1 t=0 q=[] ov=0\n"
-            "up-a s=0 partition_parallel p=2/2 b=128->256 a=2 t=0 q=[] ov=1\n"
-            "up-b s=0 partition_parallel p=2/2 b=256->384 a=2 t=0 q=[] ov=1\n"
-            "down s=0 partition_parallel p=8/8 b=384->512 a=9 t=0 q=[] ov=1\n"
-            "ok=1 error=0 windows=1\n"
-            "prov=af44ea2ba0cece09 data=8bfdc4d1a5d293b6\n");
+  for (const size_t ranks : {size_t{1}, size_t{4}}) {
+    Pipeline p = WindowPipeline(Backend::kSpmd, ranks);
+    EXPECT_EQ(RunForFacts(p), kTwoLevelWindowFacts) << "ranks=" << ranks;
+  }
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "privacy/anonymize.hpp"
 #include "privacy/audit.hpp"
 #include "privacy/tabular.hpp"
+#include "largest_new.hpp"
 
 namespace drai::privacy {
 namespace {
@@ -251,6 +253,29 @@ TEST(AuditLog, TamperingDetectedOnParse) {
   // Flip a byte somewhere in the middle (an entry's content).
   bytes[bytes.size() / 2] ^= std::byte{0x04};
   EXPECT_EQ(AuditLog::Parse(bytes).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(AuditLog, EntryCountBeyondThePayloadIsDataLoss) {
+  // The count sits at the 2^24 plausibility cap over no entries (a 12-byte
+  // log), or over 1024 real entries whose chain ends early.
+  for (const size_t real : {size_t{0}, size_t{1024}}) {
+    ByteWriter w;
+    w.PutRaw("AUD1", 4);
+    w.PutVarU64(uint64_t{1} << 24);
+    for (size_t i = 0; i < real; ++i) {
+      w.PutU64(i);
+      for (int field = 0; field < 5; ++field) w.PutString("");
+    }
+    w.PutU32(Crc32(w.bytes()));
+    const Bytes bytes = w.Take();
+
+    g_largest_new = 0;
+    StatusCode code = StatusCode::kOk;
+    EXPECT_NO_THROW(code = AuditLog::Parse(bytes).status().code()) << real;
+    EXPECT_EQ(code, StatusCode::kDataLoss) << real;
+    EXPECT_LE(g_largest_new.load(), 32 * bytes.size() + (size_t{64} << 10))
+        << real;
+  }
 }
 
 TEST(AuditLog, EmptyLogIsValid) {

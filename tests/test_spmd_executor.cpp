@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "core/backend.hpp"
@@ -214,15 +218,36 @@ TEST(SpmdExecutor, ProvenanceParamsAreBackendInvariant) {
   EXPECT_EQ(activities[1].params.at("hint"), "partition_parallel");
 }
 
+/// Run a 10-partition Map on `backend`; return the distinct threads that
+/// ran a partition. Every partition must run exactly once.
+std::set<std::thread::id> MapThreads(ExecutionBackend& backend) {
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::vector<int> runs(10, 0);
+  PartitionTask task;
+  task.n_parts = runs.size();
+  task.run = [&](size_t p) {
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+    ++runs[p];
+  };
+  backend.Map(task);
+  EXPECT_EQ(runs, std::vector<int>(runs.size(), 1));
+  return threads;
+}
+
 TEST(ExecutionBackend, FactoryAndNames) {
   EXPECT_EQ(BackendName(Backend::kThread), "thread");
   EXPECT_EQ(BackendName(Backend::kSpmd), "spmd");
   const auto thread = MakeBackend(Backend::kThread, 3);
   EXPECT_EQ(thread->name(), "thread");
-  EXPECT_EQ(thread->concurrency(), 3u);
+  const std::set<std::thread::id> pool_threads = MapThreads(*thread);
+  EXPECT_GE(pool_threads.size(), 1u);
+  EXPECT_LE(pool_threads.size(), 3u);
+  EXPECT_EQ(pool_threads.count(std::this_thread::get_id()), 0u);
   const auto spmd = MakeBackend(Backend::kSpmd, 5);
   EXPECT_EQ(spmd->name(), "spmd");
-  EXPECT_EQ(spmd->concurrency(), 5u);
+  EXPECT_EQ(MapThreads(*spmd).size(), 5u);
 }
 
 // ---- partial-reduction API ---------------------------------------------------
