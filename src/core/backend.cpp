@@ -28,7 +28,6 @@ ThreadBackend::ThreadBackend(size_t threads) : threads_(threads) {
 ThreadBackend::~ThreadBackend() = default;
 
 void ThreadBackend::Map(const PartitionTask& task) {
-  // Workers share the scheduler's memory, so no pack/unpack transport.
   const bool inline_run =
       task.n_parts <= 1 || threads_ == 1 || par::InPoolWorker();
   if (inline_run) {
@@ -59,17 +58,10 @@ void SpmdBackend::Map(const PartitionTask& task) {
     }
     // Rank 0 deals partitions out block-cyclically; determinism does not
     // depend on the assignment (any rank may run any partition), only on
-    // the ascending gather order below.
+    // the scheduler's ascending-partition merge.
     const std::vector<uint64_t> mine =
         par::ScatterAssignment(comm, n_parts, /*root=*/0);
-    std::vector<std::pair<uint64_t, Bytes>> outcomes;
-    outcomes.reserve(mine.size());
-    for (uint64_t p : mine) {
-      task.run(static_cast<size_t>(p));
-      if (task.pack) {
-        outcomes.emplace_back(p, task.pack(static_cast<size_t>(p)));
-      }
-    }
+    for (uint64_t p : mine) task.run(static_cast<size_t>(p));
     // Quarantine agreement: every rank learns the full dropped set before
     // anyone proceeds — the multi-process invariant that collective
     // operations (degraded merge, collective I/O) need all ranks to share
@@ -83,40 +75,24 @@ void SpmdBackend::Map(const PartitionTask& task) {
       }
       agreed = par::AgreeQuarantine(comm, n_parts, local);
     }
-    if (task.pack == nullptr) {
-      comm.Barrier();
-      return;
-    }
-    // Per-partition outcomes come home to rank 0 in ascending partition
-    // order — the gather is the reduction's transport, so the scheduler
-    // consumes exactly what a multi-process world would have sent.
-    const auto gathered = par::GatherByIndex(comm, outcomes, /*root=*/0);
-    if (comm.rank() != 0) return;
-    if (gathered.size() != n_parts) {
-      throw std::logic_error("SpmdBackend: gather covered " +
-                             std::to_string(gathered.size()) + " of " +
-                             std::to_string(n_parts) + " partitions");
-    }
-    if (task.unpack) {
-      for (const auto& [p, payload] : gathered) {
-        task.unpack(static_cast<size_t>(p), payload);
-      }
-    }
-    // Cross-check on the scheduler rank: the transported outcomes must name
+    // Every rank has written its outcomes in place; the closing barrier
+    // orders those writes before rank 0 (and the scheduler, after the
+    // join) reads them.
+    comm.Barrier();
+    if (comm.rank() != 0 || !task.quarantined) return;
+    // Cross-check on the scheduler rank: the written outcomes must name
     // exactly the partitions the collective agreed on. A mismatch means a
     // rank dropped a partition the others did not hear about — a protocol
     // bug worth failing loudly on, never silently merging.
-    if (task.quarantined) {
-      std::vector<uint64_t> unpacked;
-      for (uint64_t p = 0; p < n_parts; ++p) {
-        if (task.quarantined(static_cast<size_t>(p))) unpacked.push_back(p);
-      }
-      if (unpacked != agreed) {
-        throw std::logic_error(
-            "SpmdBackend: quarantine agreement mismatch (agreed " +
-            std::to_string(agreed.size()) + " partitions, outcomes name " +
-            std::to_string(unpacked.size()) + ")");
-      }
+    std::vector<uint64_t> written;
+    for (uint64_t p = 0; p < n_parts; ++p) {
+      if (task.quarantined(static_cast<size_t>(p))) written.push_back(p);
+    }
+    if (written != agreed) {
+      throw std::logic_error(
+          "SpmdBackend: quarantine agreement mismatch (agreed " +
+          std::to_string(agreed.size()) + " partitions, outcomes name " +
+          std::to_string(written.size()) + ")");
     }
   });
 }

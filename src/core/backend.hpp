@@ -8,9 +8,12 @@
 //                  workstation path; shares the process pool by default)
 //   SpmdBackend    partitions scatter across par::RunSpmd ranks (the MPI
 //                  programming model); each rank runs its block-cyclic
-//                  share, then per-partition outcomes gather back to rank 0
-//                  through Communicator collectives in ascending partition
-//                  order
+//                  share, the ranks agree on the quarantined set, and a
+//                  closing barrier ends the map
+//
+// On both backends workers and ranks are in-process threads: `run(p)`
+// writes partition p's outcome in place, and the scheduler reads it after
+// Map returns.
 //
 // Both backends honor the determinism contract: the partition count, the
 // per-partition RNG streams, and the merge order are fixed by the plan and
@@ -19,11 +22,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string_view>
-
-#include "common/bytes.hpp"
 
 namespace drai::par {
 class ThreadPool;
@@ -44,36 +46,31 @@ std::string_view BackendName(Backend b);
 /// and is safe to call concurrently for distinct p (partitions own
 /// disjoint state). An overlap window is one map over its root partitions:
 /// `run(p)` streams root p through every level of the window depth-first,
-/// so a backend never sees work discovered during the map.
-///
-/// `pack`/`unpack` are the cross-rank transport for per-partition outcomes
-/// (status, metrics, provenance notes, reduction partials): a backend whose
-/// workers do not share the scheduler's memory — SPMD ranks — calls
-/// `pack(p)` on the rank that ran p and `unpack(p, payload)` on rank 0
-/// with the gathered payloads, ascending by partition index. Shared-memory
-/// backends may skip both. Either may be null (no transport needed).
+/// so a backend never sees work discovered during the map. `run(p)` writes
+/// p's outcome (status, metrics, provenance notes, reduction partials)
+/// straight into scheduler memory, so a backend moves no outcome bytes.
 struct PartitionTask {
   size_t n_parts = 0;
   std::function<void(size_t)> run;
-  std::function<Bytes(size_t)> pack;
-  std::function<void(size_t, const Bytes&)> unpack;
   /// Optional quarantine probe: after `run(p)`, reports whether partition p
   /// was dropped by retry exhaustion. When set, a distributed backend must
   /// bring every rank to agreement on the dropped set (par::AgreeQuarantine)
   /// before returning, so all ranks apply the same degraded merge; on the
-  /// scheduler's side it is also consulted post-transport as a cross-check.
+  /// scheduler's rank it is also re-read for every partition after the
+  /// closing barrier as a cross-check.
   /// Null when no stage in the group can quarantine.
   std::function<bool(size_t)> quarantined;
   /// Bound on every blocking Communicator wait during this map (SPMD only;
   /// thread backends have no collectives). 0 = unbounded. When a rank is
   /// stuck, every other rank surfaces par::DeadlineExceededError together
-  /// instead of deadlocking in Scatter/GatherByIndex/AgreeQuarantine.
+  /// instead of deadlocking in the scatter, the quarantine agreement or the
+  /// closing barrier.
   double collective_timeout_ms = 0.0;
 };
 
 /// Strategy interface: execute a PartitionTask. A backend decides only
 /// where partitions run; the plan fixes their count and merge order.
-/// Implementations may throw (e.g. on a transport fault); the scheduler
+/// Implementations may throw (e.g. on a collective deadline); the scheduler
 /// converts that into a failing stage status.
 class ExecutionBackend {
  public:
@@ -100,9 +97,9 @@ class ThreadBackend final : public ExecutionBackend {
 
 /// SPMD path: every Map launches a fixed-size rank world (par::RunSpmd).
 /// Rank 0 scatters the block-cyclic partition assignment, each rank runs
-/// its partitions rank-locally, and outcomes gather back to rank 0 in
-/// ascending partition order via Communicator collectives. `ranks`: 0 =
-/// one rank per hardware thread.
+/// its partitions and writes their outcomes in place, then every rank
+/// meets at a closing barrier (after par::AgreeQuarantine when the task
+/// can quarantine). `ranks`: 0 = one rank per hardware thread.
 class SpmdBackend final : public ExecutionBackend {
  public:
   explicit SpmdBackend(size_t ranks);

@@ -178,9 +178,9 @@ std::map<std::string, std::string> MergedParams(
   return out;
 }
 
-/// One partition's outcome for one stage of a fused group. Everything the
-/// scheduler needs survives pack/unpack, so SPMD ranks can ship outcomes
-/// home through the communicator instead of relying on shared memory.
+/// One partition's outcome for one stage of a fused group. Whichever worker
+/// or rank ran the partition writes it in place into the scheduler's
+/// `results` cell; ranks are in-process threads on every backend.
 struct PartResult {
   Status status;
   double seconds = 0;
@@ -197,83 +197,6 @@ struct PartResult {
   std::map<std::string, uint64_t> counts;
   std::map<std::string, Bytes> partials;
 };
-
-void PackResult(ByteWriter& w, const PartResult& r) {
-  w.PutU8(r.ran ? 1 : 0);
-  w.PutI32(static_cast<int32_t>(r.status.code()));
-  w.PutString(r.status.message());
-  w.PutF64(r.seconds);
-  w.PutU64(r.bytes_after);
-  w.PutVarU64(r.attempts);
-  w.PutU8(r.quarantined ? 1 : 0);
-  w.PutVarU64(r.timeouts);
-  w.PutVarU64(r.params.size());
-  for (const auto& [k, v] : r.params) {
-    w.PutString(k);
-    w.PutString(v);
-  }
-  w.PutVarU64(r.counts.size());
-  for (const auto& [k, v] : r.counts) {
-    w.PutString(k);
-    w.PutU64(v);
-  }
-  w.PutVarU64(r.partials.size());
-  for (const auto& [k, v] : r.partials) {
-    w.PutString(k);
-    w.PutBlob(v);
-  }
-}
-
-/// Throws std::runtime_error on a malformed payload (the backend surfaces
-/// that as a transport fault).
-PartResult UnpackResult(ByteReader& rd) {
-  const auto req = [](const Status& s) {
-    if (!s.ok()) throw std::runtime_error("partition outcome: " + s.message());
-  };
-  PartResult r;
-  uint8_t ran = 0;
-  req(rd.GetU8(ran));
-  r.ran = ran != 0;
-  int32_t code = 0;
-  std::string message;
-  req(rd.GetI32(code));
-  req(rd.GetString(message));
-  r.status = code == static_cast<int32_t>(StatusCode::kOk)
-                 ? Status::Ok()
-                 : Status(static_cast<StatusCode>(code), std::move(message));
-  req(rd.GetF64(r.seconds));
-  req(rd.GetU64(r.bytes_after));
-  req(rd.GetVarU64(r.attempts));
-  uint8_t quarantined = 0;
-  req(rd.GetU8(quarantined));
-  r.quarantined = quarantined != 0;
-  req(rd.GetVarU64(r.timeouts));
-  uint64_t n = 0;
-  req(rd.GetVarU64(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string k, v;
-    req(rd.GetString(k));
-    req(rd.GetString(v));
-    r.params.emplace(std::move(k), std::move(v));
-  }
-  req(rd.GetVarU64(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string k;
-    uint64_t v = 0;
-    req(rd.GetString(k));
-    req(rd.GetU64(v));
-    r.counts.emplace(std::move(k), v);
-  }
-  req(rd.GetVarU64(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string k;
-    Bytes v;
-    req(rd.GetString(k));
-    req(rd.GetBlob(v));
-    r.partials.emplace(std::move(k), std::move(v));
-  }
-  return r;
-}
 
 /// Watchdog poll interval: fine enough that the smallest armed limit fires
 /// within ~10% of its value, without spinning for generous limits.
@@ -779,8 +702,8 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
 
   // Quarantined partitions stash the pristine slice the failing stage first
   // saw, so the checkpoint can persist it for later re-admission. Written
-  // by the owning worker (or under the commit-cell mutex), read after the
-  // map; the direct write relies on ranks being in-process threads.
+  // by the owning worker or rank (or under the commit-cell mutex) and read
+  // after the map, like every other partition outcome.
   std::vector<std::optional<DataBundle>> q_slices(nparts.back());
 
   // Per-partition commit cell (speculation only). The first copy — primary
@@ -1020,7 +943,7 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
 
   // ---- Dispatch. One static shape for every group and window: the worker
   // (or rank) that owns root p runs p's entire downstream cone depth-first,
-  // so a distributed backend gathers once per window, not once per level.
+  // so a distributed backend synchronizes once per window, not per level.
   PartitionTask task;
   task.collective_timeout_ms = collective_ms;
   task.n_parts = n_roots;
@@ -1039,25 +962,6 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
         if (results[s][p].quarantined) return true;
       }
       return false;
-    };
-  }
-  if (!streaming && !speculate) {
-    // Cross-rank transport: serialize one partition's outcomes across all
-    // fused stages; a distributed backend gathers these to the scheduler in
-    // ascending partition order instead of reading shared memory. Under
-    // speculation the commit protocol IS the transport — winners (possibly
-    // backup threads outside the rank world) write scheduler memory
-    // directly, and a gather could race a still-unwinding loser — and a
-    // window's cells are written rank-locally; both rely on ranks being
-    // in-process threads.
-    task.pack = [&](size_t p) {
-      ByteWriter w;
-      for (size_t s = 0; s < n_stages; ++s) PackResult(w, results[s][p]);
-      return w.Take();
-    };
-    task.unpack = [&](size_t p, const Bytes& payload) {
-      ByteReader rd(payload);
-      for (size_t s = 0; s < n_stages; ++s) results[s][p] = UnpackResult(rd);
     };
   }
 
@@ -1144,7 +1048,7 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
 
   // The After hook belongs to the final level: its reduction inputs are
   // that level's partials and summed counts in ascending (stage, partition)
-  // order — already transported cross-rank by the backend when needed.
+  // order, read from the cells the partitions' workers or ranks wrote.
   const PlannedStage& tail = stages[last - 1];
   Status after_status;
   if (group_ok && tail.stage->HasAfterHook()) {

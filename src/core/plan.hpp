@@ -176,8 +176,9 @@ struct RetryPolicy {
 ///                  from the pristine slice, exactly like a failed one.
 ///   collective_ms  SPMD only: bound on every blocking Communicator wait
 ///                  during this stage's group, so a stuck rank cannot
-///                  deadlock Scatter/GatherByIndex/AgreeQuarantine — all
-///                  waiting ranks surface kDeadlineExceeded together.
+///                  deadlock the assignment scatter, AgreeQuarantine or the
+///                  closing barrier — all waiting ranks surface
+///                  kDeadlineExceeded together.
 ///
 /// Cancellation is cooperative: a cancelled attempt unwinds at the next
 /// `ctx.Cancelled()` poll (or cancellable sleep); a stage body that never
@@ -237,9 +238,9 @@ class StageContext {
   void ClearCounts() { counts_.clear(); }
 
   /// Serialized reduction partial from a parallel Run (e.g. a normalizer's
-  /// streaming observations). The executor transports partials back to the
-  /// scheduler — through Communicator collectives under the SPMD backend —
-  /// and hands them to the stage group's AfterMerge hook in ascending
+  /// streaming observations). The worker or rank that ran the partition
+  /// stores it in the scheduler's outcome cell, and the executor hands the
+  /// partials to the stage group's AfterMerge hook in ascending
   /// partition order, so a global fit is bit-identical for any backend at
   /// any worker count. One payload per key per partition (last write wins).
   void EmitPartial(const std::string& key, Bytes payload) {

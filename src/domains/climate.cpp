@@ -138,8 +138,8 @@ Result<ArchetypeResult> RunClimateArchetype(
   // values into a local normalizer partial and emits its serialized
   // streaming state; the AfterMerge hook reduces the partials in ascending
   // partition order and fits (the §3.5 "global statistics need a
-  // reduction, not a serial stage" pattern). The executor transports the
-  // partials cross-rank under the SPMD backend, so the fit is identical
+  // reduction, not a serial stage" pattern). The executor merges the
+  // partials in that fixed order on every backend, so the fit is identical
   // for any backend and worker count.
   pipeline.Add(
       "regrid", StageKind::kPreprocess, ExecutionHint::kRecordParallel,

@@ -139,8 +139,7 @@ Result<ArchetypeResult> RunFusionArchetype(
   // observing into its own normalizer piece and emitting its serialized
   // streaming state; the serial AfterMerge hook reduces the pieces in
   // ascending partition order, fits, applies, then pseudo-labels from shot
-  // means. The executor transports the partials cross-rank under the SPMD
-  // backend.
+  // means. The partials merge in the same order on every backend.
   pipeline.Add(
       "normalize-features", StageKind::kTransform,
       ExecutionHint::kRecordParallel,

@@ -1,6 +1,6 @@
 #include "parallel/communicator.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 #include <exception>
 
 namespace drai::par {
@@ -91,42 +91,6 @@ std::vector<uint64_t> ScatterAssignment(Communicator& comm, uint64_t n_parts,
     }
   }
   return comm.Scatter(assignment, root);
-}
-
-std::vector<std::pair<uint64_t, Bytes>> GatherByIndex(
-    Communicator& comm, const std::vector<std::pair<uint64_t, Bytes>>& local,
-    int root) {
-  // Flatten to one byte stream per rank: [index, length, payload]*.
-  ByteWriter w;
-  for (const auto& [index, payload] : local) {
-    w.PutU64(index);
-    w.PutBlob(payload);
-  }
-  const Bytes mine = w.Take();
-  const auto streams = comm.Gather(
-      std::vector<std::byte>(mine.begin(), mine.end()), root);
-  std::vector<std::pair<uint64_t, Bytes>> out;
-  if (comm.rank() != root) return out;
-  for (const auto& stream : streams) {
-    ByteReader r(stream);
-    while (!r.exhausted()) {
-      uint64_t index = 0;
-      Bytes payload;
-      if (!r.GetU64(index).ok() || !r.GetBlob(payload).ok()) {
-        throw std::invalid_argument("GatherByIndex: truncated rank stream");
-      }
-      out.emplace_back(index, std::move(payload));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t i = 1; i < out.size(); ++i) {
-    if (out[i].first == out[i - 1].first) {
-      throw std::invalid_argument(
-          "GatherByIndex: partition index claimed by two ranks");
-    }
-  }
-  return out;
 }
 
 std::vector<uint64_t> AgreeQuarantine(Communicator& comm, uint64_t n_parts,

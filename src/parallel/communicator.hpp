@@ -181,13 +181,14 @@ class Communicator {
 /// rethrown (first by rank order) after all ranks have been joined.
 void RunSpmd(int n_ranks, const std::function<void(Communicator&)>& body);
 
-// ---- partition scatter/gather helpers ----------------------------------
+// ---- partition assignment and agreement helpers ------------------------
 //
 // The distributed-executor building blocks: root deals a block-cyclic
 // partition assignment out to the world, each rank works its share, and
-// per-partition payloads come back to root ordered by partition index —
-// the same gather-in-canonical-order rule the BundlePartitioner uses, so
-// results are independent of the world size.
+// the ranks agree on which partitions were quarantined. Outcomes need no
+// gather: ranks are in-process threads that write them in place, and the
+// scheduler merges them in ascending partition order, so results are
+// independent of the world size.
 
 /// Root computes the block-cyclic owner map for `n_parts` partitions
 /// (partition p belongs to rank p % size) and scatters it; every rank
@@ -196,20 +197,12 @@ void RunSpmd(int n_ranks, const std::function<void(Communicator&)>& body);
 std::vector<uint64_t> ScatterAssignment(Communicator& comm, uint64_t n_parts,
                                         int root);
 
-/// Gather (partition index, payload) pairs from every rank onto `root`,
-/// returned sorted ascending by partition index. Non-root ranks return an
-/// empty vector. Throws std::invalid_argument if two ranks claim the same
-/// partition index. Collective.
-std::vector<std::pair<uint64_t, Bytes>> GatherByIndex(
-    Communicator& comm, const std::vector<std::pair<uint64_t, Bytes>>& local,
-    int root);
-
 /// Agree on the union of per-rank quarantined partition sets: each rank
 /// passes the partitions *it* dropped (ascending or not), every rank
 /// returns the same global set in ascending order. Built on an
 /// AllReduce(kMax) bitmap, so the result is independent of rank count and
 /// arrival order — every rank can then apply the identical degraded-merge
-/// decision (the fault-tolerance analogue of the ascending-gather rule).
+/// decision, whatever the world size.
 /// Throws std::out_of_range if a local index is >= n_parts. Collective.
 std::vector<uint64_t> AgreeQuarantine(Communicator& comm, uint64_t n_parts,
                                       const std::vector<uint64_t>& local);

@@ -1,5 +1,6 @@
 #include "stats/normalizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -179,9 +180,15 @@ Result<Normalizer> Normalizer::DeserializeObservations(ByteReader& r) {
   if (n == 0 || n > (1ull << 32)) {
     return DataLoss("Normalizer observations: bad feature count");
   }
-  Normalizer out(static_cast<NormKind>(kind), static_cast<size_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    DRAI_ASSIGN_OR_RETURN(out.features_[i].stats,
+  // Size features_ from what the remaining input can hold, never from the
+  // claimed count alone: a short input must not buy a 664-byte
+  // FeatureState per claimed feature.
+  Normalizer out(static_cast<NormKind>(kind), 1);
+  out.features_.clear();
+  out.features_.reserve(
+      std::min<uint64_t>(n, r.remaining() / RunningStats::kSerializedBytes));
+  for (uint64_t i = 0; i < n; ++i) {
+    DRAI_ASSIGN_OR_RETURN(out.features_.emplace_back().stats,
                           RunningStats::Deserialize(r));
   }
   return out;
@@ -207,9 +214,14 @@ Result<Normalizer> Normalizer::Deserialize(ByteReader& r) {
   uint64_t n = 0;
   DRAI_RETURN_IF_ERROR(r.GetVarU64(n));
   if (n == 0 || n > (1ull << 32)) return DataLoss("Normalizer: bad feature count");
-  Normalizer out(static_cast<NormKind>(kind), static_cast<size_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    FeatureState& f = out.features_[i];
+  // Sized from the remaining input, as in DeserializeObservations.
+  Normalizer out(static_cast<NormKind>(kind), 1);
+  out.features_.clear();
+  constexpr size_t kFeatureBytes =
+      2 * sizeof(double) + RunningStats::kSerializedBytes;
+  out.features_.reserve(std::min<uint64_t>(n, r.remaining() / kFeatureBytes));
+  for (uint64_t i = 0; i < n; ++i) {
+    FeatureState& f = out.features_.emplace_back();
     DRAI_RETURN_IF_ERROR(r.GetF64(f.center));
     DRAI_RETURN_IF_ERROR(r.GetF64(f.scale));
     DRAI_ASSIGN_OR_RETURN(f.stats, RunningStats::Deserialize(r));

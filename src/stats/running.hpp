@@ -37,6 +37,8 @@ class RunningStats {
   [[nodiscard]] double max() const { return max_; }
 
   /// Wire round-trip for persisting fit statistics alongside shards.
+  /// Serialize writes exactly kSerializedBytes.
+  static constexpr size_t kSerializedBytes = 6 * sizeof(uint64_t);
   void Serialize(ByteWriter& w) const;
   static Result<RunningStats> Deserialize(ByteReader& r);
 

@@ -139,4 +139,36 @@ inline domains::MaterialsArchetypeConfig SmallMaterialsDifferentialConfig() {
   return config;
 }
 
+/// The fault column for an archetype without a seeded fault schedule:
+/// every partition of each named parallel stage fails its first attempt
+/// and one retry (max_attempts = 2) clears it, so every parallel group
+/// recovers through the retry path on every backend. The barrier/thread/1
+/// baseline must count at least one retry before the sweep runs, so the
+/// column cannot pass on a schedule that never fired.
+template <typename Config>
+void ExpectFaultedIdentity(Config config,
+                           const std::vector<std::string>& parallel_stages) {
+  for (const std::string& stage : parallel_stages) {
+    core::FaultSite site;
+    site.stage = stage;
+    site.fail_attempts = 1;
+    config.faults.sites.push_back(site);
+  }
+  config.retry.max_attempts = 2;
+
+  Config base = config;
+  base.overlap = false;
+  base.backend = core::Backend::kThread;
+  base.threads = 1;
+  const bench::RunAndHashResult run = bench::RunAndHash(base);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  uint64_t retries = 0;  // attempts beyond one per partition
+  for (const core::StageMetrics& stage : run.result.report.stages) {
+    retries += stage.attempts - stage.partitions;
+  }
+  ASSERT_GT(retries, 0u);
+
+  ExpectDifferentialIdentity(config);
+}
+
 }  // namespace drai::testing

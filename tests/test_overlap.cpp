@@ -594,5 +594,22 @@ TEST(OverlapDifferential, MaterialsCleanMatrixIsByteIdentical) {
       testing::SmallMaterialsDifferentialConfig());
 }
 
+TEST(OverlapDifferential, FusionFaultedMatrixRecoversByteIdentically) {
+  testing::ExpectFaultedIdentity(
+      testing::SmallFusionDifferentialConfig(),
+      {"align", "normalize-features", "windows-to-examples"});
+}
+
+TEST(OverlapDifferential, BioFaultedMatrixRecoversByteIdentically) {
+  testing::ExpectFaultedIdentity(
+      testing::SmallBioDifferentialConfig(),
+      {"tile-sequences", "anonymize-encode", "fuse"});
+}
+
+TEST(OverlapDifferential, MaterialsFaultedMatrixRecoversByteIdentically) {
+  testing::ExpectFaultedIdentity(testing::SmallMaterialsDifferentialConfig(),
+                                 {"wrap-coords", "graph-encode"});
+}
+
 }  // namespace
 }  // namespace drai::core

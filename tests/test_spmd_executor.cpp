@@ -1,8 +1,9 @@
 // Tests for the backend-agnostic executor: the SPMD backend must produce
 // byte-identical pipelines to the thread backend at any world size, the
-// partition scatter/gather transport must cover every partition exactly
-// once, and the StageContext partial-reduction API must deliver partials
-// to the AfterMerge hook in ascending partition order on either backend.
+// block-cyclic scatter must give every partition to exactly one rank, a
+// stalled rank must surface the group's collective deadline, and the
+// StageContext partial-reduction API must deliver partials to the
+// AfterMerge hook in ascending partition order on either backend.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,7 +20,7 @@
 namespace drai::core {
 namespace {
 
-// ---- scatter/gather transport ----------------------------------------------
+// ---- partition scatter ------------------------------------------------------
 
 TEST(ScatterAssignment, CoversEveryPartitionExactlyOnce) {
   for (int world : {1, 2, 3, 5, 8}) {
@@ -44,66 +45,14 @@ TEST(ScatterAssignment, MorRanksThanPartitionsLeavesTailIdle) {
   EXPECT_EQ(counts, (std::vector<size_t>{1, 1, 0, 0}));
 }
 
-TEST(GatherByIndex, RootSeesAscendingIndexOrder) {
-  par::RunSpmd(3, [&](par::Communicator& comm) {
-    // Each rank contributes its block-cyclic partitions out of order.
-    std::vector<std::pair<uint64_t, Bytes>> local;
-    for (uint64_t p = 7; p-- > 0;) {
-      if (p % 3 == static_cast<uint64_t>(comm.rank())) {
-        ByteWriter w;
-        w.PutU64(p * 10);
-        local.emplace_back(p, w.Take());
-      }
-    }
-    const auto gathered = par::GatherByIndex(comm, local, /*root=*/0);
-    if (comm.rank() != 0) {
-      EXPECT_TRUE(gathered.empty());
-      return;
-    }
-    ASSERT_EQ(gathered.size(), 7u);
-    for (uint64_t p = 0; p < 7; ++p) {
-      EXPECT_EQ(gathered[p].first, p);
-      ByteReader r(gathered[p].second);
-      uint64_t payload = 0;
-      ASSERT_TRUE(r.GetU64(payload).ok());
-      EXPECT_EQ(payload, p * 10);
-    }
-  });
-}
-
-TEST(GatherByIndex, DuplicateIndexThrows) {
-  EXPECT_THROW(
-      par::RunSpmd(2,
-                   [&](par::Communicator& comm) {
-                     // Both ranks claim partition 0.
-                     std::vector<std::pair<uint64_t, Bytes>> local;
-                     local.emplace_back(0, Bytes{});
-                     par::GatherByIndex(comm, local, 0);
-                   }),
-      std::invalid_argument);
-}
-
-TEST(SpmdBackend, MapRunsEveryPartitionAndUnpacksOnRoot) {
+TEST(SpmdBackend, MapRunsEveryPartitionExactlyOnce) {
   SpmdBackend backend(3);
-  std::vector<int> ran(10, 0);
-  std::vector<uint64_t> unpacked(10, 0);
+  std::vector<int> runs(10, 0);
   PartitionTask task;
   task.n_parts = 10;
-  task.run = [&](size_t p) { ran[p] = 1; };  // disjoint writes
-  task.pack = [&](size_t p) {
-    ByteWriter w;
-    w.PutU64(p + 1);
-    return w.Take();
-  };
-  task.unpack = [&](size_t p, const Bytes& payload) {
-    ByteReader r(payload);
-    ASSERT_TRUE(r.GetU64(unpacked[p]).ok());
-  };
+  task.run = [&](size_t p) { ++runs[p]; };  // disjoint writes
   backend.Map(task);
-  for (size_t p = 0; p < 10; ++p) {
-    EXPECT_EQ(ran[p], 1) << p;
-    EXPECT_EQ(unpacked[p], p + 1) << p;
-  }
+  for (size_t p = 0; p < 10; ++p) EXPECT_EQ(runs[p], 1) << p;
 }
 
 // ---- backend-identical pipelines --------------------------------------------
@@ -388,6 +337,48 @@ TEST(SpmdExecutor, WorldLargerThanPartitionCountStillCoversAll) {
   DataBundle bundle;
   ASSERT_TRUE(p.Run(bundle).ok);
   EXPECT_EQ(bundle.examples.size(), 4u);
+}
+
+TEST(SpmdExecutor, CollectiveDeadlineBoundsAStalledRank) {
+  // Rank 1's only partition stalls for 8x the collective deadline (a pure
+  // slowdown, no error); rank 0 finishes at once and must give up waiting
+  // for the world instead of blocking until rank 1 arrives.
+  constexpr double kCollectiveMs = 20;
+  ExecutionOptions options;
+  options.backend = Backend::kSpmd;
+  options.threads = 2;
+  FaultSite site;
+  site.stage = "stall";
+  site.partition = 1;
+  site.code = StatusCode::kOk;
+  site.hang_ms = 8 * kCollectiveMs;
+  options.faults.sites.push_back(site);
+  Pipeline p("spmd-collective-deadline", options);
+  p.Add("make", StageKind::kIngest,
+        [](DataBundle& bundle, StageContext&) -> Status {
+          bundle.examples.resize(4);
+          return Status::Ok();
+        });
+  ParallelSpec spec;
+  spec.axis = PartitionAxis::kExamples;
+  spec.grain = 2;  // 2 partitions, one per rank
+  p.Add("stall", StageKind::kTransform, ExecutionHint::kPartitionParallel,
+        [](DataBundle&, StageContext&) -> Status { return Status::Ok(); },
+        spec);
+  DeadlinePolicy deadline;
+  deadline.collective_ms = kCollectiveMs;
+  p.WithDeadline(deadline);
+
+  DataBundle bundle;
+  const PipelineReport report = p.Run(bundle);
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.error.code(), StatusCode::kDeadlineExceeded)
+      << report.error.ToString();
+  ASSERT_EQ(report.stages.size(), 2u);
+  const StageMetrics& head = report.stages[1];
+  EXPECT_EQ(head.name, "stall");
+  EXPECT_EQ(head.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(head.timeouts, 1u);
 }
 
 TEST(SpmdExecutor, QuarantineDropsSamePartitionOnEveryRankCount) {

@@ -12,6 +12,8 @@
 #include "stats/quantile.hpp"
 #include "stats/running.hpp"
 
+#include "largest_new.hpp"
+
 namespace drai::stats {
 namespace {
 
@@ -293,6 +295,45 @@ TEST(Normalizer, SerializeRoundTrip) {
   for (size_t f = 0; f < 3; ++f) {
     EXPECT_DOUBLE_EQ(back->Center(f), norm.Center(f));
     EXPECT_DOUBLE_EQ(back->Scale(f), norm.Scale(f));
+  }
+}
+
+TEST(Normalizer, FeatureCountBeyondThePayloadIsDataLoss) {
+  // Both parsers, claiming 2^20 or 2^32 features over no real ones, or
+  // 2^20 over 1024 real features that end early.
+  struct Case {
+    uint64_t claim;
+    size_t real;
+  };
+  for (const bool fitted : {false, true}) {
+    for (const Case c : {Case{uint64_t{1} << 20, 0}, Case{uint64_t{1} << 32, 0},
+                         Case{uint64_t{1} << 20, 1024}}) {
+      ByteWriter w;
+      w.PutU8(static_cast<uint8_t>(NormKind::kZScore));
+      w.PutVarU64(c.claim);
+      for (size_t i = 0; i < c.real; ++i) {
+        if (fitted) {
+          w.PutF64(0.0);  // center
+          w.PutF64(1.0);  // scale
+        }
+        RunningStats{}.Serialize(w);
+      }
+      const Bytes bytes = w.Take();
+
+      g_largest_new = 0;
+      StatusCode code = StatusCode::kOk;
+      EXPECT_NO_THROW({
+        ByteReader r(bytes);
+        code = (fitted ? Normalizer::Deserialize(r)
+                       : Normalizer::DeserializeObservations(r))
+                   .status()
+                   .code();
+      }) << fitted << " " << c.claim << " " << c.real;
+      EXPECT_EQ(code, StatusCode::kDataLoss)
+          << fitted << " " << c.claim << " " << c.real;
+      EXPECT_LE(g_largest_new.load(), 32 * bytes.size() + (size_t{64} << 10))
+          << fitted << " " << c.claim << " " << c.real;
+    }
   }
 }
 
