@@ -43,17 +43,27 @@ struct LinearPack {
   std::vector<uint8_t> packed8;      ///< used when bits == 8
   std::vector<uint16_t> packed16;    ///< used when bits == 16
   size_t count = 0;
+  /// Round-trip error against the packed input, measured in the packing
+  /// pass itself (equal to MeasureLinearError(input, pack), field by field).
+  QuantError error;
 };
 
-/// Pack doubles into `bits`-bit integers spanning [min, max] of the data.
-/// NaNs are encoded as the max quantum and reported via `nan_mask` when the
-/// caller provides one.
+/// Pack doubles into `bits`-bit integers spanning [min, max] of the finite
+/// data: q = round(clamp((v - offset) / scale, 0, 2^bits - 1)), with
+/// offset = min. Non-finite values are encoded as the max quantum; callers
+/// that must tell them apart keep their own mask (grib-lite's bitmap).
+/// `offset` is written to the wire, so its sign is fixed: when the minimum
+/// is a zero and both -0.0 and +0.0 occur, offset is the one that comes
+/// first in input order. `pack.error` comes from the same pass; no
+/// dequantized copy is built. A finite range wider than DBL_MAX
+/// (hi - lo overflows) is InvalidArgument.
 Result<LinearPack> LinearQuantize(std::span<const double> values, uint8_t bits);
 
 /// Reconstruct the (lossy) values.
 std::vector<double> LinearDequantize(const LinearPack& pack);
 
-/// Error of a LinearQuantize round trip.
+/// Error of a LinearQuantize round trip of `values` (non-finite values are
+/// skipped), dequantizing each quantum in place.
 QuantError MeasureLinearError(std::span<const double> values,
                               const LinearPack& pack);
 

@@ -5,6 +5,7 @@
 // span of untrusted bytes and reports truncation via Status rather than UB.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -58,6 +59,21 @@ class ByteWriter {
   void PutRaw(const void* data, size_t n) {
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + n);
+  }
+
+  /// Little-endian 16-bit words, in one bulk write.
+  void PutU16s(std::span<const uint16_t> words) {
+    const size_t at = buf_.size();
+    buf_.resize(at + 2 * words.size());
+    std::byte* out = buf_.data() + at;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!words.empty()) std::memcpy(out, words.data(), 2 * words.size());
+    } else {
+      for (const uint16_t v : words) {
+        *out++ = static_cast<std::byte>(v & 0xff);
+        *out++ = static_cast<std::byte>(v >> 8);
+      }
+    }
   }
 
   /// Varint length prefix followed by the string bytes.

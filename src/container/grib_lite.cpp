@@ -1,8 +1,11 @@
 #include "container/grib_lite.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "codec/codec.hpp"
 #include "common/hash.hpp"
@@ -27,17 +30,42 @@ Result<Bytes> EncodeGribMessage(GribMessage& msg) {
   msg.n_lat = msg.field.shape()[0];
   msg.n_lon = msg.field.shape()[1];
 
-  // Pack to integers.
+  // A contiguous f64 field is packed in place; other dtypes and strided
+  // views are widened into one dense copy first.
   const size_t n = msg.field.numel();
-  std::vector<double> values;
-  values.reserve(n);
-  ForEachAsDouble(msg.field, [&values](double x) { values.push_back(x); });
+  std::vector<double> copy;
+  std::span<const double> values;
+  if (msg.field.dtype() == DType::kF64 && msg.field.IsContiguous()) {
+    values = std::as_const(msg.field).span<double>();
+  } else {
+    copy.reserve(n);
+    ForEachAsDouble(msg.field, [&copy](double x) { copy.push_back(x); });
+    values = copy;
+  }
   DRAI_ASSIGN_OR_RETURN(codec::LinearPack pack,
                         codec::LinearQuantize(values, msg.bits));
-  msg.pack_error = codec::MeasureLinearError(values, pack);
+  msg.pack_error = pack.error;
 
-  ByteWriter w;
-  w.PutRaw(kGribMagic, 4);
+  // Missing-value bitmap (real GRIB's section 6): 1 bit per cell, packed,
+  // then RLE framed — all-present fields cost a few bytes.
+  Bytes bitmap((n + 7) / 8);
+  for (size_t byte = 0; byte < bitmap.size(); ++byte) {
+    unsigned bits = 0;
+    const size_t end = std::min(n - 8 * byte, size_t{8});
+    for (size_t k = 0; k < end; ++k) {
+      bits |= unsigned{!std::isfinite(values[8 * byte + k])} << k;
+    }
+    bitmap[byte] = static_cast<std::byte>(bits);
+  }
+  DRAI_ASSIGN_OR_RETURN(Bytes bitmap_framed,
+                        codec::Encode(codec::Codec::kRle, bitmap));
+
+  // Presized: the fixed-width fields and four varints take at most 77 bytes.
+  ByteWriter w(80 + msg.variable.size() + bitmap_framed.size() +
+               n * (msg.bits / 8));
+  // Byte by byte: a 4-byte range insert into the empty buffer trips GCC
+  // 12's -Wstringop-overflow at -O3 (a false positive on the empty tail).
+  for (const char c : kGribMagic) w.PutU8(static_cast<uint8_t>(c));
   w.PutString(msg.variable);
   w.PutI64(msg.valid_time);
   w.PutI32(msg.level_hpa);
@@ -46,22 +74,11 @@ Result<Bytes> EncodeGribMessage(GribMessage& msg) {
   w.PutU8(msg.bits);
   w.PutF64(pack.offset);
   w.PutF64(pack.scale);
-  // Missing-value bitmap (real GRIB's section 6): 1 bit per cell, packed,
-  // then RLE framed — all-present fields cost a few bytes.
-  Bytes bitmap((n + 7) / 8, std::byte{0});
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(values[i])) {
-      bitmap[i / 8] |= static_cast<std::byte>(1u << (i % 8));
-    }
-  }
-  DRAI_ASSIGN_OR_RETURN(Bytes bitmap_framed,
-                        codec::Encode(codec::Codec::kRle, bitmap));
   w.PutBlob(bitmap_framed);
   if (msg.bits == 8) {
     w.PutRaw(pack.packed8.data(), pack.packed8.size());
   } else {
-    // Little-endian 16-bit quanta.
-    for (uint16_t q : pack.packed16) w.PutU16(q);
+    w.PutU16s(pack.packed16);  // little-endian 16-bit quanta
   }
   // CRC over the whole message body (after magic).
   const auto body = w.bytes().subspan(4);
@@ -94,7 +111,10 @@ Result<std::vector<GribMessage>> DecodeGribFile(
     uint64_t n_lat = 0, n_lon = 0;
     DRAI_RETURN_IF_ERROR(r.GetVarU64(n_lat));
     DRAI_RETURN_IF_ERROR(r.GetVarU64(n_lon));
-    if (n_lat == 0 || n_lon == 0 || n_lat * n_lon > (1ull << 32)) {
+    uint64_t n_cells = 0;
+    if (n_lat == 0 || n_lon == 0 ||
+        __builtin_mul_overflow(n_lat, n_lon, &n_cells) ||
+        n_cells > (1ull << 32)) {
       return DataLoss("grib: implausible grid dims");
     }
     msg.n_lat = static_cast<size_t>(n_lat);
@@ -111,9 +131,6 @@ Result<std::vector<GribMessage>> DecodeGribFile(
     if (bitmap.size() != (n + 7) / 8) {
       return DataLoss("grib: bitmap size mismatch");
     }
-    const auto is_missing = [&bitmap](size_t i) {
-      return (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
-    };
 
     // Check the payload holds every quantum before allocating the field:
     // the dims cap alone still admits a 32 GiB grid.
@@ -125,18 +142,30 @@ Result<std::vector<GribMessage>> DecodeGribFile(
     std::span<const std::byte> quanta;
     DRAI_RETURN_IF_ERROR(r.GetSpan(n * quantum_bytes, quanta));
     msg.field = NDArray::Zeros({msg.n_lat, msg.n_lon}, DType::kF64);
-    const std::span<double> cells = msg.field.span<double>();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (size_t i = 0; i < n; ++i) {
-      // Little-endian quanta, as EncodeGribMessage writes them.
-      const size_t at = i * quantum_bytes;
-      unsigned quantum = std::to_integer<unsigned>(quanta[at]);
-      if (quantum_bytes == 2) {
-        quantum |= std::to_integer<unsigned>(quanta[at + 1]) << 8;
+    double* cells = msg.field.span<double>().data();
+    // Expand every quantum (little-endian, as EncodeGribMessage writes
+    // them), then overwrite the missing cells; a cell's bytes are the same
+    // as choosing NaN or offset + scale * q per cell.
+    const auto* q = reinterpret_cast<const uint8_t*>(quanta.data());
+    if (quantum_bytes == 2) {
+      for (size_t i = 0; i < n; ++i) {
+        const unsigned quantum = q[2 * i] | (unsigned{q[2 * i + 1]} << 8);
+        cells[i] = offset + scale * static_cast<double>(quantum);
       }
-      cells[i] = is_missing(i)
-                     ? nan
-                     : offset + scale * static_cast<double>(quantum);
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        cells[i] = offset + scale * static_cast<double>(q[i]);
+      }
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (size_t byte = 0; byte < bitmap.size(); ++byte) {
+      unsigned bits = std::to_integer<unsigned>(bitmap[byte]);
+      if (bits == 0) continue;
+      // Bits past the last cell are padding, never missing cells.
+      if (8 * byte + 8 > n) bits &= (1u << (n - 8 * byte)) - 1;
+      for (; bits != 0; bits &= bits - 1) {
+        cells[8 * byte + static_cast<size_t>(std::countr_zero(bits))] = nan;
+      }
     }
     // Validate CRC (covers body between magic and crc).
     const size_t body_end = r.position();

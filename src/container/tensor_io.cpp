@@ -1,5 +1,7 @@
 #include "container/tensor_io.hpp"
 
+#include <algorithm>
+
 #include "common/hash.hpp"
 #include "common/strings.hpp"
 
@@ -37,14 +39,22 @@ Result<NDArray> ReadTensor(ByteReader& r) {
   DRAI_RETURN_IF_ERROR(r.GetVarU64(rank));
   if (rank > 16) return DataLoss("tensor: rank too large");
   Shape shape(rank);
-  uint64_t numel = 1;
+  // Overflow-checked product of the dims, a zero dim counted as 1: it bounds
+  // every partial product the array's strides take, also in an empty
+  // tensor such as {0, 2^32, 2^32}.
+  uint64_t extent = 1;
+  bool empty = false;
   for (auto& d : shape) {
     uint64_t v = 0;
     DRAI_RETURN_IF_ERROR(r.GetVarU64(v));
     d = static_cast<size_t>(v);
-    numel *= v;
-    if (numel > (1ull << 40)) return DataLoss("tensor: implausible size");
+    empty |= v == 0;
+    if (__builtin_mul_overflow(extent, std::max<uint64_t>(v, 1), &extent) ||
+        extent > (1ull << 40)) {
+      return DataLoss("tensor: implausible size");
+    }
   }
+  const uint64_t numel = empty ? 0 : extent;
   Bytes framed;
   DRAI_RETURN_IF_ERROR(r.GetBlob(framed));
   DRAI_ASSIGN_OR_RETURN(Bytes raw, codec::Decode(framed));

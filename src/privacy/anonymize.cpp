@@ -85,7 +85,7 @@ std::string DateShifter::DaysToIso(int64_t days) {
   const uint64_t d = doy - (153 * mp + 2) / 5 + 1;
   const uint64_t m = mp + (mp < 10 ? 3 : static_cast<uint64_t>(-9));
   const int64_t year = y + (m <= 2);
-  char buf[16];
+  char buf[32];  // room for any int64 year: "-9223372036854775808-12-31"
   std::snprintf(buf, sizeof(buf), "%04lld-%02llu-%02llu",
                 static_cast<long long>(year),
                 static_cast<unsigned long long>(m),

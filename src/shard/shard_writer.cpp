@@ -64,11 +64,7 @@ Result<Split> ShardWriter::Add(const Example& example) {
 Status ShardWriter::AddTo(Split split, const Example& example) {
   if (finalized_) return FailedPrecondition("ShardWriter already finalized");
   DRAI_RETURN_IF_ERROR(CheckSchema(example));
-  auto it = open_.find(split);
-  if (it == open_.end()) {
-    it = open_.emplace(split, OpenShard{}).first;
-  }
-  OpenShard& shard = it->second;
+  OpenShard& shard = open_.try_emplace(split).first->second;
   const Bytes payload = example.Serialize(config_.tensor_codec);
   shard.rec.Append(payload);
   ++shard.records;

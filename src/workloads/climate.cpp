@@ -1,5 +1,6 @@
 #include "workloads/climate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -66,8 +67,15 @@ std::vector<ClimateField> GenerateClimateFields(const ClimateConfig& config) {
     //   v = Baseline(lat) + sum_w amp_w * sin(k_lon_w * (lon + speed_w * t)
     //                                          + phase_w)
     //                                   * cos(k_lat_w * lat * kDegToRad)
-    // and only terms invariant along a loop are hoisted out of it: the
-    // baseline and cos terms per row, the sin terms per (time, column).
+    // evaluated as v = baseline; v += (amp_w * sin_w) * cos_w for w = 0..5.
+    // Only terms invariant along a loop are hoisted out of it: the baseline
+    // and cos terms per row, the sin terms per (time, column). The sin table
+    // is stored [wave][column], so each row starts at its baseline and takes
+    // one wave at a time over a contiguous column loop; every cell still
+    // sees the same additions in the same order, and per-lane SSE2/AVX
+    // arithmetic is IEEE-exact, so vectorising that loop moves no bit.
+    // Dropout draws are taken in a second pass over the row, in the same
+    // cell order, so the Rng stream is consumed exactly as a per-cell draw.
     // Output bytes are pinned (tests/test_golden.cpp), so recurrences for
     // the trig terms, -ffast-math, FMA contraction and vectorised sin are
     // all off limits: each changes low bits.
@@ -83,34 +91,39 @@ std::vector<ClimateField> GenerateClimateFields(const ClimateConfig& config) {
         cos_lat[i * n_waves + k] = std::cos(waves[k].k_lat * lat * kDegToRad);
       }
     }
-    std::vector<double> sin_lon(n_lon * n_waves);  // [column][wave]
+    std::vector<double> lon_rad(n_lon);
+    for (size_t j = 0; j < n_lon; ++j) lon_rad[j] = g.lon(j) * kDegToRad;
+    std::vector<double> sin_lon(n_waves * n_lon);  // [wave][column]
     for (size_t t = 0; t < config.n_times; ++t) {
-      for (size_t j = 0; j < n_lon; ++j) {
-        const double lon = g.lon(j) * kDegToRad;
-        for (size_t k = 0; k < n_waves; ++k) {
-          const Wave& w = waves[k];
-          sin_lon[j * n_waves + k] = std::sin(
-              w.k_lon * (lon + w.speed * static_cast<double>(t)) + w.phase);
+      for (size_t k = 0; k < n_waves; ++k) {
+        const Wave& w = waves[k];
+        double* s = &sin_lon[k * n_lon];
+        for (size_t j = 0; j < n_lon; ++j) {
+          s[j] = std::sin(
+              w.k_lon * (lon_rad[j] + w.speed * static_cast<double>(t)) +
+              w.phase);
         }
       }
       ClimateField f;
       f.variable = variable;
       f.valid_time = static_cast<int64_t>(t) * 21600;  // 6-hourly
       f.field = NDArray::Zeros({n_lat, n_lon}, DType::kF64);
-      const std::span<double> cells = f.field.span<double>();
+      double* cells = f.field.span<double>().data();
       for (size_t i = 0; i < n_lat; ++i) {
-        const double* c = &cos_lat[i * n_waves];
-        for (size_t j = 0; j < n_lon; ++j) {
-          const double* s = &sin_lon[j * n_waves];
-          double v = baseline[i];
-          for (size_t k = 0; k < n_waves; ++k) {
-            v += waves[k].amp * s[k] * c[k];
+        double* row = cells + i * n_lon;
+        std::fill(row, row + n_lon, baseline[i]);
+        for (size_t k = 0; k < n_waves; ++k) {
+          const double amp = waves[k].amp;
+          const double c = cos_lat[i * n_waves + k];
+          const double* s = &sin_lon[k * n_lon];
+          for (size_t j = 0; j < n_lon; ++j) row[j] += amp * s[j] * c;
+        }
+        if (config.missing_prob > 0) {
+          for (size_t j = 0; j < n_lon; ++j) {
+            if (dropout_rng.Bernoulli(config.missing_prob)) {
+              row[j] = std::numeric_limits<double>::quiet_NaN();
+            }
           }
-          if (config.missing_prob > 0 &&
-              dropout_rng.Bernoulli(config.missing_prob)) {
-            v = std::numeric_limits<double>::quiet_NaN();
-          }
-          cells[i * n_lon + j] = v;
         }
       }
       out.push_back(std::move(f));

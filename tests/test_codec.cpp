@@ -2,9 +2,12 @@
 // corruption is detected, and lossy quantization respects its error bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "codec/codec.hpp"
 #include "codec/quantize.hpp"
@@ -329,6 +332,146 @@ TEST(Quantize, SixteenBitTighterThanEight) {
   const auto e8 = MeasureLinearError(values, *LinearQuantize(values, 8));
   const auto e16 = MeasureLinearError(values, *LinearQuantize(values, 16));
   EXPECT_LT(e16.max_abs * 50, e8.max_abs);  // ~256x fewer levels at 8 bits
+}
+
+TEST(Quantize, RangeWiderThanDblMaxIsInvalidArgument) {
+  // hi - lo overflows to inf: the scale would be inf and 1e308 / inf a NaN
+  // cast to an integer.
+  for (uint8_t bits : {8, 16}) {
+    const auto pack =
+        LinearQuantize(std::vector<double>{-1e308, 0.0, 1e308}, bits);
+    EXPECT_EQ(pack.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The widest range that still fits packs fine.
+  const double big = std::numeric_limits<double>::max() / 2;
+  EXPECT_TRUE(LinearQuantize(std::vector<double>{-big, big}, 16).ok());
+}
+
+// The sequential packer and error pass this codec shipped before the
+// one-pass rewrite, kept verbatim as the bit-exact reference.
+LinearPack ReferenceQuantize(std::span<const double> values, uint8_t bits) {
+  LinearPack pack;
+  pack.bits = bits;
+  pack.count = values.size();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (double v : values) {
+    if (!std::isfinite(v)) continue;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  if (!(lo <= hi)) {
+    lo = 0;
+    hi = 0;
+  }
+  const uint32_t levels = bits == 8 ? 255u : 65535u;
+  pack.offset = lo;
+  pack.scale = hi > lo ? (hi - lo) / static_cast<double>(levels) : 1.0;
+  auto quantum = [&](double v) -> uint32_t {
+    if (!std::isfinite(v)) return levels;
+    const double q = (v - pack.offset) / pack.scale;
+    const double clamped = std::clamp(q, 0.0, static_cast<double>(levels));
+    return static_cast<uint32_t>(clamped + 0.5);
+  };
+  for (double v : values) {
+    if (bits == 8) {
+      pack.packed8.push_back(static_cast<uint8_t>(quantum(v)));
+    } else {
+      pack.packed16.push_back(static_cast<uint16_t>(quantum(v)));
+    }
+  }
+  return pack;
+}
+
+QuantError ReferenceError(std::span<const double> values,
+                          const LinearPack& pack) {
+  const std::vector<double> restored = LinearDequantize(pack);
+  QuantError e;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  double acc = 0;
+  size_t n = 0;
+  for (size_t i = 0; i < values.size() && i < restored.size(); ++i) {
+    if (!std::isfinite(values[i])) continue;
+    const double d = std::fabs(values[i] - restored[i]);
+    e.max_abs = std::max(e.max_abs, d);
+    acc += d * d;
+    ++n;
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+  }
+  e.rms = n ? std::sqrt(acc / static_cast<double>(n)) : 0.0;
+  e.relative_to_range = (hi > lo) ? e.max_abs / (hi - lo) : 0.0;
+  return e;
+}
+
+void ExpectSameError(const QuantError& got, const QuantError& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.max_abs, want.max_abs) << what;
+  EXPECT_EQ(got.rms, want.rms) << what;
+  EXPECT_EQ(got.relative_to_range, want.relative_to_range) << what;
+}
+
+TEST(Quantize, PackMatchesSequentialReference) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> inputs = {
+      // -0.0/+0.0 ties at the minimum, both orders, within one chain and
+      // across chains (index 1 vs index 4), and at the maximum.
+      {-0.0, 0.0, 1.0, 2.0},
+      {0.0, -0.0, 1.0, 2.0},
+      {5.0, 0.0, 3.0, 4.0, -0.0, 2.0},
+      {5.0, -0.0, 3.0, 4.0, 0.0, 2.0},
+      {-3.0, -1.0, -0.0, 0.0},
+      {-3.0, -1.0, 0.0, -0.0},
+      {0.0, 0.0, -0.0, -0.0, 0.0},
+      {-0.0, 0.0, 0.0, 0.0, -0.0},
+      // Non-finite values among finite ones, and nothing but them.
+      {kNaN, 1.5, -kInf, 2.5, kInf, -7.0, kNaN, 0.25, 3.0},
+      {kNaN, kNaN, kInf, -kInf, kNaN},
+      {kNaN},
+      // Constant input.
+      std::vector<double>(11, 3.25),
+      std::vector<double>(4, -0.0),
+  };
+  Rng rng(203);
+  for (size_t n = 0; n <= 9; ++n) {  // every n % 4, the empty input too
+    std::vector<double> values;
+    for (size_t i = 0; i < n; ++i) values.push_back(rng.Uniform(-40, 55));
+    inputs.push_back(values);
+    if (n > 1) {
+      values[n / 2] = kNaN;
+      inputs.push_back(values);
+    }
+  }
+  for (int i = 0; i < 1000; ++i) {
+    inputs.back().push_back(rng.Bernoulli(0.1) ? kNaN : rng.Normal(0, 10));
+  }
+
+  for (uint8_t bits : {8, 16}) {
+    for (size_t c = 0; c < inputs.size(); ++c) {
+      const std::vector<double>& values = inputs[c];
+      const std::string what =
+          "case " + std::to_string(c) + " bits " + std::to_string(bits);
+      const LinearPack want = ReferenceQuantize(values, bits);
+      const auto got = LinearQuantize(values, bits);
+      ASSERT_TRUE(got.ok()) << what;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->offset),
+                std::bit_cast<uint64_t>(want.offset))
+          << what;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->scale),
+                std::bit_cast<uint64_t>(want.scale))
+          << what;
+      EXPECT_EQ(got->bits, want.bits) << what;
+      EXPECT_EQ(got->count, want.count) << what;
+      EXPECT_EQ(got->packed8, want.packed8) << what;
+      EXPECT_EQ(got->packed16, want.packed16) << what;
+      const QuantError want_error = ReferenceError(values, want);
+      ExpectSameError(got->error, want_error, what + " pack.error");
+      ExpectSameError(MeasureLinearError(values, *got), want_error,
+                      what + " MeasureLinearError");
+    }
+  }
 }
 
 }  // namespace

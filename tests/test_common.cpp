@@ -101,7 +101,7 @@ TEST(Bytes, PrimitiveRoundTrip) {
   const Bytes buf = w.Take();
   ByteReader r(buf);
   uint8_t u8;
-  uint16_t u16;
+  uint16_t u16 = 0;
   uint32_t u32;
   uint64_t u64;
   int32_t i32;

@@ -3,8 +3,10 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "codec/codec.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "container/bplite.hpp"
 #include "container/grib_lite.hpp"
@@ -194,6 +196,103 @@ TEST(GribLite, HugeGridOnTinyPayloadRejectedBeforeAllocating) {
   EXPECT_NE(decoded.status().ToString().find("payload shorter"),
             std::string::npos)
       << decoded.status().ToString();
+}
+
+/// A CRC-valid grib-lite message for variable "t2m" built field by field,
+/// so a test can claim any dims, bitmap and quanta.
+Bytes HandBuiltGrib(uint64_t n_lat, uint64_t n_lon, uint8_t bits,
+                    double offset, double scale, const Bytes& bitmap,
+                    const Bytes& quanta) {
+  ByteWriter w;
+  w.PutRaw("GRBL", 4);
+  w.PutString("t2m");
+  w.PutI64(0);
+  w.PutI32(0);
+  w.PutVarU64(n_lat);
+  w.PutVarU64(n_lon);
+  w.PutU8(bits);
+  w.PutF64(offset);
+  w.PutF64(scale);
+  w.PutBlob(codec::Encode(codec::Codec::kRle, bitmap).value());
+  w.PutRaw(quanta);
+  w.PutU32(Crc32(w.bytes().subspan(4)));
+  return w.Take();
+}
+
+TEST(GribLite, GridDimsWhoseProductWrapsAreDataLoss) {
+  // n_lat = n_lon = 2^32: the product wraps to 0 in 64 bits, which would
+  // pass a "<= 2^32 cells" check and describe 2^64 cells over 0 bytes.
+  const Bytes file = HandBuiltGrib(1ull << 32, 1ull << 32, 16, 250.0, 0.01,
+                                   /*bitmap=*/{}, /*quanta=*/{});
+  StatusCode code = StatusCode::kOk;
+  EXPECT_NO_THROW(code = DecodeGribFile(file).status().code());
+  EXPECT_EQ(code, StatusCode::kDataLoss);
+}
+
+TEST(GribLite, ViewAndF32FieldsEncodeLikeTheirDenseF64Copy) {
+  const NDArray base = MakeField(9, 14, 11, /*nan_prob=*/0.1);
+  const auto encode = [](const NDArray& field) {
+    GribMessage msg;
+    msg.variable = "t2m";
+    msg.field = field;
+    Bytes file;
+    AppendGribMessage(file, msg).OrDie();
+    return std::make_pair(file, msg.pack_error);
+  };
+  const NDArray strided = base.Slice(1, 2, 11);  // 9 x 9, row stride 14
+  const NDArray transposed = base.Transpose();   // 14 x 9
+  const NDArray f32 = base.Cast(DType::kF32);
+  ASSERT_FALSE(strided.IsContiguous());
+  for (const NDArray* field : {&strided, &transposed, &f32}) {
+    const auto [got, got_error] = encode(*field);
+    const auto [want, want_error] =
+        encode(field->AsContiguous().Cast(DType::kF64));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got_error.max_abs, want_error.max_abs);
+    EXPECT_EQ(got_error.rms, want_error.rms);
+    EXPECT_EQ(got_error.relative_to_range, want_error.relative_to_range);
+  }
+}
+
+TEST(GribLite, NanInTheLastCellOfAnOddSizedField) {
+  // 15 cells: the bitmap's last byte holds 7 cells and one padding bit.
+  for (uint8_t bits : {8, 16}) {
+    GribMessage msg;
+    msg.variable = "u10";
+    msg.bits = bits;
+    msg.field = MakeField(3, 5, 13);
+    msg.field.SetFromDouble(14, std::numeric_limits<double>::quiet_NaN());
+    Bytes file;
+    ASSERT_TRUE(AppendGribMessage(file, msg).ok());
+    const auto decoded = DecodeGribFile(file);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const NDArray& out = (*decoded)[0].field;
+    ASSERT_EQ(out.numel(), 15u);
+    for (size_t i = 0; i < 14; ++i) {
+      EXPECT_NEAR(out.GetAsDouble(i), msg.field.GetAsDouble(i),
+                  msg.pack_error.max_abs * (1 + 1e-9))
+          << "cell " << i;
+    }
+    EXPECT_TRUE(std::isnan(out.GetAsDouble(14)));
+  }
+}
+
+TEST(GribLite, BitmapPaddingBitsAreNotCells) {
+  // A 3 x 5 field whose bitmap marks cell 14 missing and also sets the
+  // padding bit after it (cell 15 does not exist). The message is otherwise
+  // well formed, CRC included: it decodes, the padding bit touches nothing.
+  Bytes quanta;
+  for (uint8_t q = 0; q < 15; ++q) quanta.push_back(std::byte{q});
+  const Bytes file = HandBuiltGrib(3, 5, 8, 250.0, 0.5,
+                                   {std::byte{0x00}, std::byte{0xC0}}, quanta);
+  const auto decoded = DecodeGribFile(file);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const NDArray& out = (*decoded)[0].field;
+  ASSERT_EQ(out.numel(), 15u);
+  for (size_t i = 0; i < 14; ++i) {
+    EXPECT_EQ(out.GetAsDouble(i), 250.0 + 0.5 * static_cast<double>(i));
+  }
+  EXPECT_TRUE(std::isnan(out.GetAsDouble(14)));
 }
 
 TEST(GribLite, RejectsNonFloatingAndBadRank) {

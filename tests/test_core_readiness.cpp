@@ -191,7 +191,9 @@ TEST(MaturityMatrix, EveryRequirementCellHasNonEmptyText) {
   for (ReadinessLevel level : kAllReadinessLevels) {
     for (StageKind stage : kAllStageKinds) {
       const auto cell = MatrixCell(level, stage);
-      if (cell.has_value()) EXPECT_FALSE(cell->empty());
+      if (cell.has_value()) {
+        EXPECT_FALSE(cell->empty());
+      }
     }
   }
 }

@@ -163,7 +163,9 @@ TEST(HangInjection, LowerRateSamplesSubsetOfHigherRate) {
     const bool high_hangs = high.Decide(1, "s", 0, part, 1).has_value();
     low_hits += low_hangs;
     high_hits += high_hangs;
-    if (low_hangs) EXPECT_TRUE(high_hangs) << "cell " << part;
+    if (low_hangs) {
+      EXPECT_TRUE(high_hangs) << "cell " << part;
+    }
   }
   EXPECT_GT(low_hits, 0u);
   EXPECT_GT(high_hits, low_hits);

@@ -5,6 +5,8 @@
 
 #include <thread>
 
+#include "codec/codec.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "common/timer.hpp"
@@ -123,6 +125,28 @@ TEST(TensorIo, ScalarAndEmptyRoundTrip) {
     const auto back = container::ReadTensor(r);
     ASSERT_TRUE(back.ok()) << ShapeToString(shape);
     EXPECT_EQ(back->shape(), shape);
+  }
+}
+
+TEST(TensorIo, DimsWhoseProductWrapsAreDataLoss) {
+  // Dims {2^32, 2^32}: the element count wraps to 0 in 64 bits and would
+  // match an empty payload, leaving a tensor whose shape claims 2^64 cells.
+  // With a leading zero dim the count is an honest 0, but the strides of
+  // the trailing dims would still overflow.
+  const uint64_t big = 1ull << 32;
+  for (const std::vector<uint64_t>& dims :
+       {std::vector<uint64_t>{big, big}, std::vector<uint64_t>{0, big, big}}) {
+    ByteWriter w;
+    w.PutU8(static_cast<uint8_t>(DType::kF64));
+    w.PutVarU64(dims.size());
+    for (uint64_t d : dims) w.PutVarU64(d);
+    w.PutBlob(codec::Encode(codec::Codec::kNone, {}).value());
+    w.PutU32(Crc32(std::span<const std::byte>{}));
+    const Bytes buf = w.Take();
+    ByteReader r(buf);
+    StatusCode code = StatusCode::kOk;
+    EXPECT_NO_THROW(code = container::ReadTensor(r).status().code());
+    EXPECT_EQ(code, StatusCode::kDataLoss) << dims.size() << " dims";
   }
 }
 

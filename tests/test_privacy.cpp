@@ -20,7 +20,7 @@ Table MakeClinicalTable(size_t rows, uint64_t seed = 5) {
   t.columns = {"patient_name", "ssn", "age", "zip", "diagnosis", "subject_id",
                "admit_date"};
   for (size_t i = 0; i < rows; ++i) {
-    char ssn[24], zip[16], date[24];
+    char ssn[40], zip[16], date[24];
     std::snprintf(ssn, sizeof(ssn), "%03d-%02d-%04d",
                   int(rng.UniformU64(900)) + 100, int(rng.UniformU64(99)) + 1,
                   int(rng.UniformU64(10000)));
@@ -112,6 +112,17 @@ TEST(DateShifter, CivilDateMathRoundTrip) {
   EXPECT_EQ(DateShifter::IsoToDays("1970-01-01").value(), 0);
   EXPECT_EQ(DateShifter::IsoToDays("1970-01-02").value(), 1);
   EXPECT_EQ(DateShifter::IsoToDays("1969-12-31").value(), -1);
+}
+
+TEST(DateShifter, YearsOfAnyWidthPrintInFull) {
+  // 400 Gregorian years are exactly 146097 days, so whole cycles move the
+  // year and keep month and day.
+  const int64_t y2000 = DateShifter::IsoToDays("2000-03-15").value();
+  EXPECT_EQ(DateShifter::DaysToIso(y2000 + 146097 * 25), "12000-03-15");
+  EXPECT_EQ(DateShifter::DaysToIso(y2000 + 146097 * 2500000000LL),
+            "1000000002000-03-15");
+  EXPECT_EQ(DateShifter::DaysToIso(y2000 - 146097 * 2500000000LL),
+            "-999999998000-03-15");
 }
 
 TEST(DateShifter, RejectsMalformedDates) {
