@@ -27,7 +27,8 @@ void BuildDataset(par::StripedStore& store, const std::string& dir,
   shard::ShardWriter writer(store, config);
   for (size_t i = 0; i < kExamples; ++i) {
     shard::Example ex;
-    ex.key = "k" + std::to_string(i);
+    ex.key = "k";
+    ex.key += std::to_string(i);
     ex.features["x"] =
         NDArray::Full({kFeatureFloats}, double(i % 97), DType::kF32);
     writer.Add(ex).value();

@@ -17,6 +17,10 @@ void ByteWriter::PutVarI64(int64_t v) {
   PutVarU64(u);
 }
 
+void ByteWriter::PutMagic(std::string_view magic) {
+  PutRaw(magic.data(), magic.size());
+}
+
 void ByteWriter::PatchU32(size_t offset, uint32_t v) {
   if (offset + 4 > buf_.size()) {
     throw std::out_of_range("ByteWriter::PatchU32 past end");

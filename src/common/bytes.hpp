@@ -60,6 +60,10 @@ class ByteWriter {
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
+  /// A format magic such as "SDF1". Out of line on purpose: PutRaw inlined
+  /// into a freshly built writer trips g++ 12's -Wstringop-overflow at -O3
+  /// (a false positive on the empty vector), and every format opens so.
+  void PutMagic(std::string_view magic);
 
   /// Little-endian 16-bit words, in one bulk write.
   void PutU16s(std::span<const uint16_t> words) {

@@ -13,25 +13,9 @@ uint64_t SplitMix64::Next() {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.Next();
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformU64(uint64_t n) {
@@ -49,11 +33,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (span == 0) return static_cast<int64_t>(NextU64());  // full range
   return lo + static_cast<int64_t>(UniformU64(span));
-}
-
-double Rng::UniformDouble() {
-  // 53 high bits → [0, 1) with full double precision.
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -80,8 +59,6 @@ double Rng::Normal() {
 double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
-
-bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
 double Rng::Exponential(double rate) {
   if (rate <= 0) throw std::invalid_argument("Exponential: rate must be > 0");

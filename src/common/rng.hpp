@@ -8,6 +8,7 @@
 // across standard libraries; these are).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,21 +32,36 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Raw 64 random bits.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   /// Uniform in [0, n). n must be > 0.
   uint64_t UniformU64(uint64_t n);
   /// Uniform in [lo, hi] inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);
   /// Uniform double in [0, 1).
-  double UniformDouble();
-  /// Uniform double in [lo, hi).
+  double UniformDouble() {
+    // 53 high bits → [0, 1) with full double precision.
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
+  /// Uniform double in [lo, hi). Out of line, unlike the draws around
+  /// it: its multiply-add must compile under the library's
+  /// -ffp-contract=off, or an FMA-target caller would get other bits.
   double Uniform(double lo, double hi);
   /// Standard normal via Box–Muller (cached second deviate).
   double Normal();
   /// Normal with given mean and stddev.
   double Normal(double mean, double stddev);
   /// Bernoulli with probability p.
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return UniformDouble() < p; }
   /// Exponential with given rate (lambda).
   double Exponential(double rate);
   /// Poisson-distributed count (Knuth for small lambda, normal approx above 64).

@@ -8,7 +8,7 @@
 namespace drai::container {
 
 BpWriter::BpWriter() {
-  data_.PutRaw(kMagic, 4);
+  data_.PutMagic({kMagic, 4});
   data_.PutU16(1);  // version
 }
 
@@ -55,7 +55,7 @@ Bytes BpWriter::Finish() {
   data_.PutRaw(footer_bytes);
   data_.PutU64(footer_bytes.size());
   data_.PutU32(Crc32(footer_bytes));
-  data_.PutRaw(kMagic, 4);  // tail magic, lets readers find the footer
+  data_.PutMagic({kMagic, 4});  // tail magic, lets readers find the footer
   return data_.Take();
 }
 

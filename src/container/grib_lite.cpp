@@ -63,9 +63,7 @@ Result<Bytes> EncodeGribMessage(GribMessage& msg) {
   // Presized: the fixed-width fields and four varints take at most 77 bytes.
   ByteWriter w(80 + msg.variable.size() + bitmap_framed.size() +
                n * (msg.bits / 8));
-  // Byte by byte: a 4-byte range insert into the empty buffer trips GCC
-  // 12's -Wstringop-overflow at -O3 (a false positive on the empty tail).
-  for (const char c : kGribMagic) w.PutU8(static_cast<uint8_t>(c));
+  w.PutMagic({kGribMagic, 4});
   w.PutString(msg.variable);
   w.PutI64(msg.valid_time);
   w.PutI32(msg.level_hpa);

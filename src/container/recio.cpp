@@ -8,7 +8,7 @@ namespace drai::container {
 
 RecWriter::RecWriter(std::span<const std::byte> metadata, size_t reserve)
     : writer_(reserve) {
-  writer_.PutRaw(kMagic, 4);
+  writer_.PutMagic({kMagic, 4});
   writer_.PutU16(1);  // version
   writer_.PutBlob(metadata);
 }
@@ -35,7 +35,7 @@ Bytes RecWriter::Finish() {
   // Re-arm with an empty header so accidental reuse still produces a valid
   // (empty) stream rather than a corrupt one.
   writer_ = ByteWriter();
-  writer_.PutRaw(kMagic, 4);
+  writer_.PutMagic({kMagic, 4});
   writer_.PutU16(1);
   writer_.PutBlob({});
   return out;

@@ -130,15 +130,7 @@ Result<SdfDataset> SdfDataset::Deserialize(ByteReader& r) {
     return DataLoss("sdf dataset: bad dtype");
   }
   d.dtype_ = static_cast<DType>(dtype);
-  uint64_t rank = 0;
-  DRAI_RETURN_IF_ERROR(r.GetVarU64(rank));
-  if (rank > 16) return DataLoss("sdf dataset: rank too large");
-  d.shape_.resize(rank);
-  for (auto& dim : d.shape_) {
-    uint64_t v = 0;
-    DRAI_RETURN_IF_ERROR(r.GetVarU64(v));
-    dim = static_cast<size_t>(v);
-  }
+  DRAI_RETURN_IF_ERROR(ReadShape(r, d.shape_, "sdf dataset"));
   uint64_t chunk_rows = 0;
   DRAI_RETURN_IF_ERROR(r.GetVarU64(chunk_rows));
   d.chunk_rows_ = static_cast<size_t>(chunk_rows);
@@ -280,7 +272,7 @@ SdfGroup& SdfFile::ResolveOrCreate(const std::string& path) {
 
 Bytes SdfFile::Serialize() const {
   ByteWriter w;
-  w.PutRaw(kMagic, 4);
+  w.PutMagic({kMagic, 4});
   w.PutU16(kVersion);
   root_.Serialize(w);
   const uint32_t crc = Crc32(w.bytes());

@@ -28,6 +28,24 @@ void WriteTensor(ByteWriter& w, const NDArray& array, codec::Codec codec) {
   w.PutU32(Crc32(raw));
 }
 
+Status ReadShape(ByteReader& r, Shape& shape, std::string_view what) {
+  uint64_t rank = 0;
+  DRAI_RETURN_IF_ERROR(r.GetVarU64(rank));
+  if (rank > 16) return DataLoss(std::string(what) + ": rank too large");
+  shape.assign(rank, 0);
+  uint64_t extent = 1;
+  for (auto& d : shape) {
+    uint64_t v = 0;
+    DRAI_RETURN_IF_ERROR(r.GetVarU64(v));
+    d = static_cast<size_t>(v);
+    if (__builtin_mul_overflow(extent, std::max<uint64_t>(v, 1), &extent) ||
+        extent > (1ull << 40)) {
+      return DataLoss(std::string(what) + ": implausible size");
+    }
+  }
+  return Status::Ok();
+}
+
 Result<NDArray> ReadTensor(ByteReader& r) {
   uint8_t dtype_byte = 0;
   DRAI_RETURN_IF_ERROR(r.GetU8(dtype_byte));
@@ -35,26 +53,9 @@ Result<NDArray> ReadTensor(ByteReader& r) {
     return DataLoss("tensor: bad dtype byte");
   }
   const DType dtype = static_cast<DType>(dtype_byte);
-  uint64_t rank = 0;
-  DRAI_RETURN_IF_ERROR(r.GetVarU64(rank));
-  if (rank > 16) return DataLoss("tensor: rank too large");
-  Shape shape(rank);
-  // Overflow-checked product of the dims, a zero dim counted as 1: it bounds
-  // every partial product the array's strides take, also in an empty
-  // tensor such as {0, 2^32, 2^32}.
-  uint64_t extent = 1;
-  bool empty = false;
-  for (auto& d : shape) {
-    uint64_t v = 0;
-    DRAI_RETURN_IF_ERROR(r.GetVarU64(v));
-    d = static_cast<size_t>(v);
-    empty |= v == 0;
-    if (__builtin_mul_overflow(extent, std::max<uint64_t>(v, 1), &extent) ||
-        extent > (1ull << 40)) {
-      return DataLoss("tensor: implausible size");
-    }
-  }
-  const uint64_t numel = empty ? 0 : extent;
+  Shape shape;
+  DRAI_RETURN_IF_ERROR(ReadShape(r, shape, "tensor"));
+  const size_t numel = ShapeNumel(shape);
   Bytes framed;
   DRAI_RETURN_IF_ERROR(r.GetBlob(framed));
   DRAI_ASSIGN_OR_RETURN(Bytes raw, codec::Decode(framed));

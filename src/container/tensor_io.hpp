@@ -19,6 +19,14 @@ void WriteTensor(ByteWriter& w, const NDArray& array,
 /// Parse a tensor written by WriteTensor. Validates CRC.
 Result<NDArray> ReadTensor(ByteReader& r);
 
+/// Reads a shape (rank varint, then the dims) into `shape`. kDataLoss,
+/// with `what` in the message, for a rank above 16 or dims whose
+/// overflow-checked product passes 2^40 elements. A zero dim counts as 1
+/// in that product, so it bounds every partial product an array's strides
+/// take, also in an empty array such as {0, 2^32, 2^32}; and the byte
+/// count, elements times a dtype size of at most 8, fits in 64 bits.
+Status ReadShape(ByteReader& r, Shape& shape, std::string_view what);
+
 /// Attribute value for containers: int, float, string, or double vector.
 struct AttrValue {
   enum class Kind : uint8_t { kInt = 0, kDouble = 1, kString = 2, kDoubleVec = 3 };

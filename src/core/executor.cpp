@@ -947,7 +947,10 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
   PartitionTask task;
   task.collective_timeout_ms = collective_ms;
   task.n_parts = n_roots;
+  // Which worker (or rank) ran each root, for the savings estimate.
+  std::vector<std::thread::id> root_thread(n_roots);
   task.run = [&](size_t p) {
+    root_thread[p] = std::this_thread::get_id();
     if (speculate) {
       run_copy(p, false);
     } else {
@@ -1163,23 +1166,60 @@ void ParallelExecutor::RunWindow(const PipelinePlan& plan,
   }
 
   if (streaming) {
-    // Savings estimate: a barriered run pays each stage's critical path
-    // back-to-back; the window paid one overlapped wall. Split/merge
-    // overhead the barrier would also pay per level is not credited, so
-    // this under-reports rather than flatters.
-    double barrier_estimate = before_split_seconds + tail_seconds;
-    for (const std::vector<PartResult>& stage_results : results) {
-      double critical_path = 0;
-      for (const PartResult& r : stage_results) {
-        critical_path = std::max(critical_path, r.seconds);
-      }
-      barrier_estimate += critical_path;
+    // Savings estimate: a barriered run pays its levels back-to-back, each
+    // as long as its busiest worker; the window paid one overlapped wall.
+    // Split/merge overhead the barrier would also pay per level is not
+    // credited, so this under-reports rather than flatters.
+    std::vector<size_t> root_worker(n_roots);
+    std::vector<std::thread::id> workers;
+    for (size_t p = 0; p < n_roots; ++p) {
+      const auto it =
+          std::find(workers.begin(), workers.end(), root_thread[p]);
+      root_worker[p] = static_cast<size_t>(it - workers.begin());
+      if (it == workers.end()) workers.push_back(root_thread[p]);
     }
+    std::vector<std::vector<double>> level_seconds(n_levels);
+    std::vector<std::vector<size_t>> level_root(n_levels);
+    for (size_t g = 0; g < n_levels; ++g) {
+      level_seconds[g].assign(nparts[g], 0.0);
+      level_root[g].resize(nparts[g]);
+      for (size_t q = 0; q < nparts[g]; ++q) {
+        // Partition boundaries are multiples of every upstream grain, so
+        // q's first unit names its root.
+        level_root[g][q] = std::min(n_roots - 1, q * grain[g] / grain[0]);
+        for (size_t abs = l_first[g]; abs < l_last[g]; ++abs) {
+          level_seconds[g][q] += results[abs - first][q].seconds;
+        }
+      }
+    }
+    const double barrier_estimate =
+        before_split_seconds + tail_seconds +
+        BarrierLevelSeconds(level_seconds, level_root, root_worker);
     const double window_wall = window_timer.Seconds();
     if (barrier_estimate > window_wall) {
       report.overlap_seconds_saved += barrier_estimate - window_wall;
     }
   }
+}
+
+double BarrierLevelSeconds(
+    const std::vector<std::vector<double>>& level_seconds,
+    const std::vector<std::vector<size_t>>& level_root,
+    const std::vector<size_t>& root_worker) {
+  const size_t n_workers =
+      root_worker.empty()
+          ? 0
+          : *std::max_element(root_worker.begin(), root_worker.end()) + 1;
+  double total = 0;
+  std::vector<double> busy(n_workers);
+  for (size_t g = 0; g < level_seconds.size(); ++g) {
+    std::fill(busy.begin(), busy.end(), 0.0);
+    for (size_t q = 0; q < level_seconds[g].size(); ++q) {
+      busy[root_worker[level_root[g][q]]] += level_seconds[g][q];
+    }
+    total += busy.empty() ? 0.0 : *std::max_element(busy.begin(), busy.end());
+  }
+  return total;
 }
 
 void ParallelExecutor::RecordStage(

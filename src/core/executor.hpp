@@ -109,9 +109,10 @@ struct PipelineReport {
   std::vector<ReadmissionRecord> readmissions;
   /// Inter-stage pipelining facts: how many overlap windows streamed, and a
   /// conservative estimate of the wall-clock saved versus running the same
-  /// stage groups back-to-back behind barriers (sum of per-stage critical
-  /// paths minus the window's measured wall time; split/merge overhead the
-  /// barriered run would also pay is not credited).
+  /// stage groups back-to-back behind barriers (per level, the busiest
+  /// worker's partition seconds under the window's root assignment, summed
+  /// over levels, minus the window's measured wall time; split/merge
+  /// overhead the barriered run would also pay is not credited).
   uint64_t overlap_windows = 0;
   double overlap_seconds_saved = 0;
   /// Stage checkpoints saved (one per completed stage group when the run
@@ -259,6 +260,18 @@ Rng DeriveStageRng(uint64_t seed, uint64_t run, size_t stage, size_t slot);
 /// One attempt of `stage.Run`: fires ctx's injected fault after a clean run
 /// and turns a throw into kInternal ("stage 'x' threw<suffix>: ...").
 Status GuardedRun(Stage&, DataBundle&, StageContext&, std::string_view = {});
+
+/// What a barriered run would pay for one overlap window's levels, the
+/// base of PipelineReport::overlap_seconds_saved. Levels run back to back,
+/// and a level's wall is its busiest worker's: the largest per-worker sum
+/// of the level's partition seconds. Partition q of level g took
+/// `level_seconds[g][q]` and descends from root `level_root[g][q]`, which
+/// the window ran on worker `root_worker[root]`; the worker that owns a
+/// root also runs all of that root's re-split children.
+double BarrierLevelSeconds(
+    const std::vector<std::vector<double>>& level_seconds,
+    const std::vector<std::vector<size_t>>& level_root,
+    const std::vector<size_t>& root_worker);
 
 /// One past the last stage of the fused group starting at `first`: the
 /// maximal run of parallel stages with identical specs and no hooks at

@@ -154,7 +154,7 @@ std::string ProvenanceGraph::RecordHash() const {
 Bytes ProvenanceGraph::Serialize() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ByteWriter w;
-  w.PutRaw("PRV1", 4);
+  w.PutMagic("PRV1");
   w.PutVarU64(artifacts_.size());
   for (const Artifact& a : artifacts_) {
     w.PutString(a.name);
@@ -252,15 +252,24 @@ std::string ProvenanceGraph::ToText() const {
   }
   out += "activities (" + std::to_string(activities_.size()) + "):\n";
   for (const Activity& act : activities_) {
-    out += "  " + act.stage_kind + "/" + act.name + " (" +
-           HumanDuration(act.seconds) + ")";
+    // Appends, not `literal + string&&`: g++ 12 -O3 flags that operator's
+    // inlined insert with a false -Wrestrict.
+    out += "  " + act.stage_kind + "/" + act.name + " (";
+    out += HumanDuration(act.seconds);
+    out += ")";
     if (!act.inputs.empty()) {
       out += "  in:";
-      for (size_t i : act.inputs) out += " " + std::to_string(i);
+      for (size_t i : act.inputs) {
+        out += ' ';
+        out += std::to_string(i);
+      }
     }
     if (!act.outputs.empty()) {
       out += "  out:";
-      for (size_t o : act.outputs) out += " " + std::to_string(o);
+      for (size_t o : act.outputs) {
+        out += ' ';
+        out += std::to_string(o);
+      }
     }
     out += "\n";
   }

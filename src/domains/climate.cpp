@@ -145,8 +145,8 @@ Result<ArchetypeResult> RunClimateArchetype(
       "regrid", StageKind::kPreprocess, ExecutionHint::kRecordParallel,
       /*before=*/nullptr,
       [&](DataBundle& bundle, StageContext& context) -> Status {
-        stats::Normalizer local(stats::NormKind::kZScore, variables.size());
         std::vector<std::pair<std::string, NDArray>> regridded_out;
+        std::vector<size_t> var_of;  // regridded_out[i] is a field of var_of[i]
         std::vector<std::string> consumed;
         for (const auto& [key, field] : bundle.tensors) {
           if (key.rfind("raw@", 0) != 0) continue;
@@ -163,14 +163,21 @@ Result<ArchetypeResult> RunClimateArchetype(
           DRAI_ASSIGN_OR_RETURN(
               NDArray regridded,
               grid::Regrid(field, src_grid, dst_grid, config.regrid));
-          ForEachAsDouble(regridded, [&local, v = vit->second](double x) {
-            local.Observe(v, x);
-          });
           // "raw@t00003/t2m" -> "grid@t00003/t2m"
           regridded_out.emplace_back("grid@" + key.substr(4),
                                      std::move(regridded));
+          var_of.push_back(vit->second);
           consumed.push_back(key);
         }
+        // One observe call for the whole partition: the variables' Welford
+        // chains run side by side, each over its fields in time order.
+        std::vector<stats::Normalizer::FeatureArray> observed;
+        observed.reserve(regridded_out.size());
+        for (size_t i = 0; i < regridded_out.size(); ++i) {
+          observed.push_back({var_of[i], &regridded_out[i].second});
+        }
+        stats::Normalizer local(stats::NormKind::kZScore, variables.size());
+        local.ObserveBatch(observed);
         for (const std::string& key : consumed) bundle.tensors.erase(key);
         for (auto& [key, tensor] : regridded_out) {
           bundle.tensors[key] = std::move(tensor);
@@ -222,10 +229,12 @@ Result<ArchetypeResult> RunClimateArchetype(
           }
           const size_t v = vit->second;
           NDArray field = tensor;
-          const double mean = normalizer->Center(v);
-          TransformInPlace(field, [&normalizer, v, mean](double x) {
-            // Mean-fill missing cells, then z-score.
-            return normalizer->Apply(v, std::isnan(x) ? mean : x);
+          const double center = normalizer->Center(v);
+          const double scale = normalizer->Scale(v);
+          TransformInPlace(field, [center, scale](double x) {
+            // Mean-fill missing cells, then z-score: Apply's kZScore
+            // expression with the field's statistics read once.
+            return ((std::isnan(x) ? center : x) - center) / scale;
           });
           renamed.emplace_back("norm@" + key.substr(5), std::move(field));
           consumed.push_back(key);
@@ -276,6 +285,8 @@ Result<ArchetypeResult> RunClimateArchetype(
               NDArray patches,
               grid::ExtractPatches(frame, config.patch, config.patch));
           const size_t n_patches = patches.shape()[0];
+          // Patch-mean regression targets (self-supervised), all at once.
+          const std::vector<double> means = SliceMeans(patches);
           for (size_t p = 0; p < n_patches; ++p) {
             shard::Example ex;
             ex.key = "t" + std::to_string(t) + "-p" + std::to_string(p);
@@ -284,9 +295,8 @@ Result<ArchetypeResult> RunClimateArchetype(
                     .Reshape({variables.size(), config.patch, config.patch})
                     .Cast(DType::kF32);
             ex.features["x"] = std::move(sample);
-            // Patch-mean regression target (self-supervised).
             ex.features["y"] = NDArray::FromVector<float>(
-                {1}, {static_cast<float>(Mean(patches.Slice(0, p, p + 1)))});
+                {1}, {static_cast<float>(means[p])});
             bundle.examples.push_back(std::move(ex));
           }
         }

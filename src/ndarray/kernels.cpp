@@ -71,16 +71,38 @@ void ScaleShiftInPlace(NDArray& a, double scale, double shift) {
 
 void MapInPlace(NDArray& a, double (*fn)(double)) { TransformInPlace(a, fn); }
 
+namespace {
+
+/// One compensated (Kahan) summation step.
+inline void KahanAdd(double& sum, double& c, double x) {
+  const double y = x - c;
+  const double t = sum + y;
+  c = (t - sum) - y;
+  sum = t;
+}
+
+/// Kahan means of K consecutive slices of `inner` elements starting at x:
+/// the K (sum, c) chains run side by side, each in its slice's order.
+template <size_t K, typename T>
+void KahanSliceMeans(const T* x, size_t inner, double* out) {
+  double sum[K] = {}, c[K] = {};
+  for (size_t i = 0; i < inner; ++i) {
+    for (size_t k = 0; k < K; ++k) {
+      KahanAdd(sum[k], c[k], ToDouble(x[k * inner + i]));
+    }
+  }
+  for (size_t k = 0; k < K; ++k) {
+    out[k] = sum[k] / static_cast<double>(inner);
+  }
+}
+
+}  // namespace
+
 double Sum(const NDArray& a) {
   // Kahan summation: pipelines reduce over 1e8-element fields and plain
   // accumulation loses digits the precision bench would misattribute.
   double sum = 0, c = 0;
-  ForEachAsDouble(a, [&](double x) {
-    const double y = x - c;
-    const double t = sum + y;
-    c = (t - sum) - y;
-    sum = t;
-  });
+  ForEachAsDouble(a, [&](double x) { KahanAdd(sum, c, x); });
   return sum;
 }
 
@@ -88,6 +110,26 @@ double Mean(const NDArray& a) {
   const size_t n = a.numel();
   if (n == 0) throw std::invalid_argument("Mean of empty array");
   return Sum(a) / static_cast<double>(n);
+}
+
+std::vector<double> SliceMeans(const NDArray& a) {
+  if (a.rank() == 0) throw std::invalid_argument("SliceMeans of a scalar");
+  const size_t rows = a.shape()[0];
+  std::vector<double> means(rows);
+  if (rows == 0) return means;
+  const size_t inner = a.numel() / rows;
+  if (inner == 0) throw std::invalid_argument("Mean of empty array");
+  constexpr size_t kLanes = 8;
+  const NDArray in = Dense(a);
+  VisitDType(in.dtype(), [&](auto tag) {
+    const auto* x = in.span<decltype(tag)>().data();
+    size_t p = 0;
+    for (; p + kLanes <= rows; p += kLanes) {
+      KahanSliceMeans<kLanes>(x + p * inner, inner, &means[p]);
+    }
+    for (; p < rows; ++p) KahanSliceMeans<1>(x + p * inner, inner, &means[p]);
+  });
+  return means;
 }
 
 double Min(const NDArray& a) {

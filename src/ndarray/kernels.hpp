@@ -11,7 +11,14 @@
 // stay for generic and test code only; no kernel loops over them.
 // ForEachAsDouble and TransformInPlace below package the rule for callers
 // outside this module (normalizer sweeps, codecs, quality assessment).
+// Independent chains run side by side; each chain keeps its order. A
+// reduction over many slices (SliceMeans) or features
+// (stats::RunningStats::AddInterleaved) advances several accumulators in
+// one loop, each through exactly the operations it would see alone, so
+// the result bits do not depend on the interleave.
 #pragma once
+
+#include <vector>
 
 #include "ndarray/ndarray.hpp"
 
@@ -56,6 +63,9 @@ void MapInPlace(NDArray& a, double (*fn)(double));
 /// Reductions over the whole array (any view, any dtype).
 double Sum(const NDArray& a);
 double Mean(const NDArray& a);
+/// Mean of every slice along axis 0: out[p] is bit-identical to
+/// Mean(a.Slice(0, p, p + 1)), computed in one pass for all p.
+std::vector<double> SliceMeans(const NDArray& a);
 double Min(const NDArray& a);
 double Max(const NDArray& a);
 /// Population variance.

@@ -243,7 +243,9 @@ NDArray NDArray::AsContiguous() const {
   // Always a fresh copy, so the result owns its storage (documented copy).
   NDArray out = Zeros(shape_, dtype_);
   if (IsContiguous()) {
-    std::memcpy(out.BasePtr(), BasePtr(), nbytes());
+    // An empty array's buffers may be null, and memcpy forbids null even
+    // for zero bytes.
+    if (nbytes() != 0) std::memcpy(out.BasePtr(), BasePtr(), nbytes());
   } else {
     CopyElements(*this, out.BasePtr(), /*gather=*/true);
   }

@@ -53,7 +53,7 @@ std::string AuditLog::HeadHash() const {
 
 Bytes AuditLog::Serialize() const {
   ByteWriter w;
-  w.PutRaw("AUD1", 4);
+  w.PutMagic("AUD1");
   w.PutVarU64(entries_.size());
   for (const AuditEntry& e : entries_) {
     w.PutU64(e.sequence);

@@ -34,7 +34,7 @@ uint64_t DatasetManifest::TotalBytes() const {
 
 Bytes DatasetManifest::Serialize() const {
   ByteWriter w;
-  w.PutRaw(kMagic, 4);
+  w.PutMagic({kMagic, 4});
   w.PutU16(1);  // version
   w.PutString(dataset_name);
   w.PutString(created_by);

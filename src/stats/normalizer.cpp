@@ -25,24 +25,106 @@ Normalizer::Normalizer(NormKind kind, size_t n_features) : kind_(kind) {
   features_.resize(n_features);
 }
 
+namespace {
+
+double Log1pClamped(double x) { return std::log1p(std::max(x, -1.0 + 1e-12)); }
+
+/// Calls fn with the map a kind takes every value through before its
+/// statistics: log1p for kLog1pZ, identity otherwise. Element loops choose
+/// it once, outside the loop.
+template <typename Fn>
+void WithPreMap(NormKind kind, Fn&& fn) {
+  if (kind == NormKind::kLog1pZ) {
+    fn([](double x) { return Log1pClamped(x); });
+  } else {
+    fn([](double x) { return x; });
+  }
+}
+
+/// The elements of `a` in row-major order as doubles through the kind's
+/// pre-map: read in place from a dense f64 array that needs no map, else
+/// copied into `owned`.
+const double* PreMapped(NormKind kind, const NDArray& a,
+                        std::vector<double>& owned) {
+  if (kind != NormKind::kLog1pZ && a.dtype() == DType::kF64 &&
+      a.IsContiguous()) {
+    return a.span<double>().data();
+  }
+  owned.resize(a.numel());
+  WithPreMap(kind, [&](auto pre) {
+    size_t i = 0;
+    ForEachAsDouble(a, [&](double x) { owned[i++] = pre(x); });
+  });
+  return owned.data();
+}
+
+}  // namespace
+
 void Normalizer::CheckFeature(size_t feature) const {
   if (feature >= features_.size()) {
     throw std::out_of_range("Normalizer: feature index out of range");
   }
 }
 
-void Normalizer::Observe(size_t feature, double x) {
-  CheckFeature(feature);
+void Normalizer::CheckObservable() const {
   if (fitted_) {
     throw std::logic_error("Normalizer: Observe after Fit");
   }
+}
+
+void Normalizer::Observe(size_t feature, double x) {
+  CheckFeature(feature);
+  CheckObservable();
   FeatureState& f = features_[feature];
-  const double v = kind_ == NormKind::kLog1pZ ? std::log1p(std::max(x, -1.0 + 1e-12)) : x;
+  const double v = kind_ == NormKind::kLog1pZ ? Log1pClamped(x) : x;
   f.stats.Add(v);
   if (kind_ == NormKind::kRobust) {
     f.q25.Add(v);
     f.q50.Add(v);
     f.q75.Add(v);
+  }
+}
+
+void Normalizer::ObserveStreams(std::span<const size_t> features,
+                                std::span<const ValueStream> streams) {
+  std::vector<RunningStats*> stats(features.size());
+  for (size_t k = 0; k < features.size(); ++k) {
+    stats[k] = &features_[features[k]].stats;
+  }
+  RunningStats::AddInterleaved(stats, streams);
+  if (kind_ != NormKind::kRobust) return;
+  for (size_t k = 0; k < features.size(); ++k) {
+    FeatureState& f = features_[features[k]];
+    for (size_t i = 0; i < streams[k].n; ++i) {
+      const double v = streams[k].data[i * streams[k].stride];
+      f.q25.Add(v);
+      f.q50.Add(v);
+      f.q75.Add(v);
+    }
+  }
+}
+
+void Normalizer::ObserveBatch(std::span<const FeatureArray> batch) {
+  for (const FeatureArray& a : batch) CheckFeature(a.feature);
+  CheckObservable();
+  // Round r holds the r-th array of every feature it names, so a round
+  // never names a feature twice and each feature's arrays go in order.
+  struct Round {
+    std::vector<size_t> features;
+    std::vector<ValueStream> streams;
+  };
+  std::vector<Round> rounds;
+  std::vector<size_t> seen(features_.size(), 0);
+  std::vector<std::vector<double>> owned(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const NDArray& a = *batch[i].values;
+    const size_t r = seen[batch[i].feature]++;
+    if (r == rounds.size()) rounds.emplace_back();
+    rounds[r].features.push_back(batch[i].feature);
+    rounds[r].streams.push_back({PreMapped(kind_, a, owned[i]), a.numel()});
+  }
+  for (const Round& round : rounds) {
+    ObserveStreams(round.features, round.streams);
   }
 }
 
@@ -53,9 +135,20 @@ void Normalizer::ObserveMatrix(const NDArray& matrix) {
   if (matrix.shape()[1] != features_.size()) {
     throw std::invalid_argument("ObserveMatrix: feature count mismatch");
   }
+  CheckObservable();
+  const size_t rows = matrix.shape()[0];
   const size_t cols = matrix.shape()[1];
-  size_t i = 0;
-  ForEachAsDouble(matrix, [&](double x) { Observe(i++ % cols, x); });
+  if (rows == 0) return;
+  std::vector<double> owned;
+  const double* values = PreMapped(kind_, matrix, owned);
+  // Column j is feature j's stream, strided by the row length.
+  std::vector<size_t> features(cols);
+  std::vector<ValueStream> streams(cols);
+  for (size_t j = 0; j < cols; ++j) {
+    features[j] = j;
+    streams[j] = {values + j, rows, cols};
+  }
+  ObserveStreams(features, streams);
 }
 
 void Normalizer::Merge(const Normalizer& other) {
@@ -110,9 +203,7 @@ double Normalizer::Apply(size_t feature, double x) const {
   CheckFitted();
   CheckFeature(feature);
   const FeatureState& f = features_[feature];
-  const double v = kind_ == NormKind::kLog1pZ
-                       ? std::log1p(std::max(x, -1.0 + 1e-12))
-                       : x;
+  const double v = kind_ == NormKind::kLog1pZ ? Log1pClamped(x) : x;
   return (v - f.center) / f.scale;
 }
 
@@ -129,15 +220,31 @@ void Normalizer::ApplyMatrix(NDArray& matrix) const {
   if (matrix.rank() != 2 || matrix.shape()[1] != features_.size()) {
     throw std::invalid_argument("ApplyMatrix: shape mismatch");
   }
-  const size_t cols = matrix.shape()[1];
-  size_t i = 0;
-  TransformInPlace(matrix, [&](double x) { return Apply(i++ % cols, x); });
+  const size_t cols = features_.size();
+  std::vector<double> center(cols), scale(cols);
+  for (size_t j = 0; j < cols; ++j) {
+    center[j] = features_[j].center;
+    scale[j] = features_[j].scale;
+  }
+  WithPreMap(kind_, [&](auto pre) {
+    size_t j = 0;  // the column of the element in hand
+    TransformInPlace(matrix, [&](double x) {
+      const double y = (pre(x) - center[j]) / scale[j];
+      if (++j == cols) j = 0;
+      return y;
+    });
+  });
 }
 
 void Normalizer::ApplyAll(NDArray& array, size_t feature) const {
   CheckFitted();
   CheckFeature(feature);
-  TransformInPlace(array, [&](double x) { return Apply(feature, x); });
+  const double center = features_[feature].center;
+  const double scale = features_[feature].scale;
+  WithPreMap(kind_, [&](auto pre) {
+    TransformInPlace(array,
+                     [&](double x) { return (pre(x) - center) / scale; });
+  });
 }
 
 double Normalizer::Center(size_t feature) const {

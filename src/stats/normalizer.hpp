@@ -7,6 +7,7 @@
 // inference uses the exact training statistics (reproducibility).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,19 @@ class Normalizer {
   [[nodiscard]] size_t n_features() const { return features_.size(); }
   [[nodiscard]] bool fitted() const { return fitted_; }
 
+  /// One array of observations of one feature, for ObserveBatch.
+  struct FeatureArray {
+    size_t feature;
+    const NDArray* values;
+  };
+
   /// Absorb one observation of feature j.
   void Observe(size_t feature, double x);
+  /// Absorb every element of each array, in row-major order, as
+  /// observations of its feature: the state Observe per element gives.
+  /// The arrays of one feature are taken in their given order; distinct
+  /// features advance side by side.
+  void ObserveBatch(std::span<const FeatureArray> batch);
   /// Absorb every row of a 2-D [rows, features] array.
   void ObserveMatrix(const NDArray& matrix);
   /// Merge the streaming state of another (identically configured)
@@ -83,6 +95,10 @@ class Normalizer {
 
   void CheckFitted() const;
   void CheckFeature(size_t feature) const;
+  void CheckObservable() const;
+  /// Feeds streams[k] to distinct features[k], side by side.
+  void ObserveStreams(std::span<const size_t> features,
+                      std::span<const ValueStream> streams);
 
   NormKind kind_;
   std::vector<FeatureState> features_;

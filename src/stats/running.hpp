@@ -7,20 +7,40 @@
 // per-rank moments needs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 
 namespace drai::stats {
 
+/// One value stream of RunningStats::AddInterleaved: `n` values at
+/// data[0], data[stride], data[2 * stride], ...
+struct ValueStream {
+  const double* data = nullptr;
+  size_t n = 0;
+  size_t stride = 1;
+};
+
 /// Count / mean / variance / min / max in one pass, mergeable.
 class RunningStats {
  public:
   /// Absorb one observation. NaN observations are counted separately and
   /// excluded from the moments — missing values must not poison the fit.
+  /// Defined out of line, so its multiply-add always compiles under the
+  /// library's -ffp-contract=off, whatever flags the caller builds with.
   void Add(double x);
+
+  /// Advance *stats[k] over streams[k] for every k, the accumulators
+  /// (which must be distinct) side by side, up to eight at a time. Each
+  /// one goes through exactly the Add sequence of its own stream, so the
+  /// result is bit-identical to Add per value; only the independent chains
+  /// overlap. Streams may differ in length.
+  static void AddInterleaved(std::span<RunningStats* const> stats,
+                             std::span<const ValueStream> streams);
 
   /// Merge another accumulator (parallel reduction step).
   void Merge(const RunningStats& other);

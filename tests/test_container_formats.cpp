@@ -176,7 +176,7 @@ TEST(GribLite, HugeGridOnTinyPayloadRejectedBeforeAllocating) {
   const uint64_t side = 8192;
   const size_t n = side * side;
   ByteWriter w;
-  w.PutRaw("GRBL", 4);
+  w.PutMagic("GRBL");
   w.PutString("t2m");
   w.PutI64(0);
   w.PutI32(0);
@@ -204,7 +204,7 @@ Bytes HandBuiltGrib(uint64_t n_lat, uint64_t n_lon, uint8_t bits,
                     double offset, double scale, const Bytes& bitmap,
                     const Bytes& quanta) {
   ByteWriter w;
-  w.PutRaw("GRBL", 4);
+  w.PutMagic("GRBL");
   w.PutString("t2m");
   w.PutI64(0);
   w.PutI32(0);

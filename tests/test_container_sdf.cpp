@@ -234,6 +234,29 @@ TEST(Sdf, ChunkCountBeyondThePayloadIsDataLoss) {
   }
 }
 
+TEST(SdfDataset, DimsWhoseProductWrapsAreDataLoss) {
+  // CRC-valid datasets whose dims multiply past any real array: {1, 2^61}
+  // (2^61 f64 elements, whose byte count wraps to 0) and {2^32, 2^32}
+  // behind a zero dim, each over the one empty chunk its row count asks
+  // for.
+  for (const Shape& dims : {Shape{1, size_t{1} << 61},
+                            Shape{1, 0, size_t{1} << 32, size_t{1} << 32}}) {
+    ByteWriter w;
+    w.PutVarU64(0);  // attrs
+    w.PutVarU64(1);  // datasets
+    w.PutString("x");
+    w.PutU8(static_cast<uint8_t>(DType::kF64));
+    w.PutVarU64(dims.size());
+    for (const size_t d : dims) w.PutVarU64(d);
+    w.PutVarU64(1);  // chunk_rows
+    w.PutU8(static_cast<uint8_t>(codec::Codec::kNone));
+    w.PutVarU64(1);  // chunks
+    w.PutBlob({});
+    w.PutU32(0);
+    ExpectSdfDataLoss(SdfWithRoot(w.Take()), std::to_string(dims.size()));
+  }
+}
+
 TEST(Sdf, AttrVectorLengthBeyondThePayloadIsDataLoss) {
   // A root attr holding a double vector whose length sits at the 2^24 cap,
   // over no values or over 4096 real ones.

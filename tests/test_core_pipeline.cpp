@@ -389,7 +389,7 @@ TEST(Provenance, RecordHashSensitiveToEverything) {
 /// with the magic and a valid CRC, so parsing reaches the counts.
 Bytes ProvenanceRecord(const Bytes& body) {
   ByteWriter w;
-  w.PutRaw("PRV1", 4);
+  w.PutMagic("PRV1");
   w.PutRaw(body.data(), body.size());
   w.PutU32(Crc32(w.bytes()));
   return w.Take();

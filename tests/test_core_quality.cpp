@@ -24,7 +24,8 @@ shard::Example MakeExample(const std::string& key, double value,
 TEST(Quality, CleanDatasetScoresHigh) {
   std::vector<shard::Example> examples;
   for (int i = 0; i < 40; ++i) {
-    examples.push_back(MakeExample("k" + std::to_string(i), i * 0.5, i % 2));
+    examples.push_back(
+        MakeExample(std::string("k") + std::to_string(i), i * 0.5, i % 2));
   }
   const QualityReport report = AssessQuality(examples);
   EXPECT_EQ(report.n_examples, 40u);
@@ -137,8 +138,10 @@ TEST(Quality, CountsMissingness) {
 TEST(Quality, ImbalancePenalizesScore) {
   std::vector<shard::Example> balanced, skewed;
   for (int i = 0; i < 40; ++i) {
-    balanced.push_back(MakeExample("b" + std::to_string(i), i, i % 2));
-    skewed.push_back(MakeExample("s" + std::to_string(i), i, i < 38 ? 0 : 1));
+    balanced.push_back(
+        MakeExample(std::string("b") + std::to_string(i), i, i % 2));
+    skewed.push_back(
+        MakeExample(std::string("s") + std::to_string(i), i, i < 38 ? 0 : 1));
   }
   EXPECT_GT(AssessQuality(balanced).OverallScore(),
             AssessQuality(skewed).OverallScore());

@@ -103,7 +103,7 @@ TEST_P(SdfFuzz, RandomTreeRoundTrip) {
     // Random attributes.
     const size_t n_attrs = rng.UniformU64(4);
     for (size_t a = 0; a < n_attrs; ++a) {
-      const std::string name = "a" + std::to_string(a);
+      const std::string name = std::string("a") + std::to_string(a);
       switch (rng.UniformU64(4)) {
         case 0: group.SetAttr(name, container::AttrValue::Int(
                                         rng.UniformInt(-1000, 1000)));
@@ -112,7 +112,8 @@ TEST_P(SdfFuzz, RandomTreeRoundTrip) {
                                         rng.Uniform(-5, 5)));
           break;
         case 2: group.SetAttr(name, container::AttrValue::String(
-                                        "s" + std::to_string(rng.NextU64() % 997)));
+                                        std::string("s") +
+                                        std::to_string(rng.NextU64() % 997)));
           break;
         default: group.SetAttr(name, container::AttrValue::DoubleVec(
                                          {rng.Uniform(0, 1), rng.Uniform(0, 1)}));
@@ -161,7 +162,7 @@ TEST_P(ExampleFuzz, RandomExampleRoundTrip) {
     for (size_t i = 0; i < t.numel(); ++i) {
       t.SetFromDouble(i, rng.UniformInt(0, 100));
     }
-    ex.features["f" + std::to_string(f)] = std::move(t);
+    ex.features[std::string("f") + std::to_string(f)] = std::move(t);
   }
   const codec::Codec codec = static_cast<codec::Codec>(rng.UniformU64(7));
   const Bytes bytes = ex.Serialize(codec);

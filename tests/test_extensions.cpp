@@ -140,7 +140,7 @@ TEST(TrainClassifierFromShards, LearnsBlobsEndToEnd) {
   for (int i = 0; i < 400; ++i) {
     const int64_t cls = rng.Bernoulli(0.5) ? 1 : 0;
     shard::Example ex;
-    ex.key = "s" + std::to_string(i);
+    ex.key = std::string("s") + std::to_string(i);
     ex.features["x"] = NDArray::FromVector<float>(
         {2}, {static_cast<float>(rng.Normal(cls ? 2.5 : -2.5, 1.0)),
               static_cast<float>(rng.Normal(0, 1))});

@@ -123,7 +123,7 @@ Pipeline MakePipeline(TestPipeline& cfg) {
         [](DataBundle& bundle, StageContext&) -> Status {
           for (size_t i = 0; i < 6; ++i) {
             shard::Example ex;
-            ex.key = "e" + std::to_string(i);
+            ex.key = std::string("e") + std::to_string(i);
             ex.SetLabel(static_cast<int64_t>(i));
             bundle.examples.push_back(std::move(ex));
           }
@@ -132,7 +132,8 @@ Pipeline MakePipeline(TestPipeline& cfg) {
   p.Add("salt", StageKind::kPreprocess, ExecutionHint::kRecordParallel,
         [](DataBundle& bundle, StageContext& ctx) -> Status {
           for (auto& ex : bundle.examples) {
-            ex.key += "-" + std::to_string(ctx.rng().UniformU64(1000));
+            ex.key += std::string("-") +
+                      std::to_string(ctx.rng().UniformU64(1000));
           }
           ctx.NoteCount("salted", bundle.examples.size());
           return Status::Ok();
@@ -147,7 +148,8 @@ Pipeline MakePipeline(TestPipeline& cfg) {
   p.Add("tag", StageKind::kStructure, ExecutionHint::kRecordParallel,
         [](DataBundle& bundle, StageContext& ctx) -> Status {
           for (auto& ex : bundle.examples) {
-            ex.key += "/" + std::to_string(ctx.rng().UniformU64(1000));
+            ex.key += std::string("/") +
+                      std::to_string(ctx.rng().UniformU64(1000));
           }
           return Status::Ok();
         },

@@ -240,7 +240,8 @@ Pipeline MakePipeline(HangPipeline& cfg) {
         [](DataBundle& bundle, StageContext& ctx) -> Status {
           for (auto& ex : bundle.examples) {
             if (ctx.Cancelled()) return ctx.CancelledStatus();
-            ex.key += "-" + std::to_string(ctx.rng().UniformU64(1000));
+            ex.key += std::string("-") +
+                      std::to_string(ctx.rng().UniformU64(1000));
           }
           return Status::Ok();
         },
@@ -257,7 +258,8 @@ Pipeline MakePipeline(HangPipeline& cfg) {
         [](DataBundle& bundle, StageContext& ctx) -> Status {
           for (auto& ex : bundle.examples) {
             if (ctx.Cancelled()) return ctx.CancelledStatus();
-            ex.key += "/" + std::to_string(ctx.rng().UniformU64(1000));
+            ex.key += std::string("/") +
+                      std::to_string(ctx.rng().UniformU64(1000));
           }
           return Status::Ok();
         },

@@ -254,7 +254,7 @@ TEST(Trainer, LearnsFromShardsEndToEnd) {
   Rng rng(6);
   for (int i = 0; i < 300; ++i) {
     shard::Example ex;
-    ex.key = "s" + std::to_string(i);
+    ex.key = std::string("s") + std::to_string(i);
     const float a = static_cast<float>(rng.Uniform(-1, 1));
     const float b = static_cast<float>(rng.Uniform(-1, 1));
     ex.features["x"] = NDArray::FromVector<float>({2}, {a, b});

@@ -1,6 +1,7 @@
 // Tests for drai/ndarray: dtype (incl. IEEE half), NDArray views, kernels.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -379,6 +380,51 @@ TEST(TypedKernels, SumMatchesScalarKahan) {
       }
     }
   }
+}
+
+TEST(TypedKernels, SliceMeansMatchMeanOfEachSlice) {
+  // Bit-exact against Mean(a.Slice(0, p, p + 1)) for every dtype, row
+  // counts 0-17 (so rows % 8 != 0 runs the tail), NaN, +-inf and -0.0
+  // cells, and a non-contiguous input.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                             -kInf, -0.0};
+  for (int d = 0; d <= static_cast<int>(DType::kU8); ++d) {
+    const DType dt = static_cast<DType>(d);
+    for (size_t rows = 0; rows <= 17; ++rows) {
+      const NDArray base =
+          IsFloating(dt) ? RandomArray({rows, 3, 4}, dt, 30 + rows)
+                         : RandomArray({rows, 3, 4}, dt, 30 + rows, 0.0, 0.0,
+                                       100.0);
+      NDArray special = base.AsContiguous();
+      if (IsFloating(dt)) {
+        // One special value in a few rows; a row with all four.
+        for (size_t r = 0; r < rows; r += 3) {
+          special.SetFromDouble(r * 12 + r % 12, specials[r % 4]);
+        }
+        if (rows > 5) {
+          for (size_t k = 0; k < 4; ++k) {
+            special.SetFromDouble(5 * 12 + k, specials[k]);
+          }
+        }
+      }
+      const NDArray strided =
+          RandomArray({3, rows, 4}, dt, 60 + rows, 0.0, 0.0, 100.0)
+              .Transpose(0, 1);  // [rows, 3, 4], non-contiguous
+      for (const NDArray& in : {base, special, strided}) {
+        const std::vector<double> got = SliceMeans(in);
+        ASSERT_EQ(got.size(), rows) << DTypeName(dt);
+        for (size_t p = 0; p < rows; ++p) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[p]),
+                    std::bit_cast<uint64_t>(Mean(in.Slice(0, p, p + 1))))
+              << DTypeName(dt) << " rows=" << rows << " p=" << p;
+        }
+      }
+    }
+  }
+  EXPECT_THROW((void)SliceMeans(NDArray::Zeros({2, 0}, DType::kF64)),
+               std::invalid_argument);
+  EXPECT_TRUE(SliceMeans(NDArray::Zeros({0, 0}, DType::kF64)).empty());
 }
 
 }  // namespace

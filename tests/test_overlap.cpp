@@ -8,9 +8,11 @@
 // injected faults and hangs, for all four archetypes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
@@ -225,6 +227,50 @@ TEST(ComputeOverlapWindows, ThreeGroupChainFormsOneWindow) {
   EXPECT_EQ(windows[0].group_starts, (std::vector<size_t>{1, 2, 3}));
 }
 
+// ---- BarrierLevelSeconds ----------------------------------------------------
+
+TEST(BarrierLevelSeconds, ChargesChildrenToTheirRootsWorker) {
+  // Two roots on two workers, each re-split into two children. Level 0's
+  // busiest worker runs 3 s, level 1's runs 2 + 2 = 4 s (both children of
+  // root 1): a barrier pays 7 s. The per-stage longest partitions add up
+  // to only 3 + 2 = 5 s, no more than the window's own wall (max(3 + 2,
+  // 1 + 4) = 5 s), which is why that estimate never credited a saving.
+  const std::vector<std::vector<double>> seconds = {{3, 1}, {1, 1, 2, 2}};
+  const std::vector<std::vector<size_t>> root = {{0, 1}, {0, 0, 1, 1}};
+  EXPECT_DOUBLE_EQ(BarrierLevelSeconds(seconds, root, {0, 1}), 7.0);
+  // One worker ran both roots: each level costs its whole sum.
+  EXPECT_DOUBLE_EQ(BarrierLevelSeconds(seconds, root, {0, 0}), 10.0);
+  EXPECT_DOUBLE_EQ(BarrierLevelSeconds({}, {}, {}), 0.0);
+}
+
+TEST(BarrierLevelSeconds, NeverBelowTheBusiestWorkersWindowTotal) {
+  // The barrier pays each level's busiest worker, so it can never pay less
+  // than any one worker's work across the window.
+  Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n_roots = 1 + rng.UniformU64(6);
+    const size_t n_workers = 1 + rng.UniformU64(4);
+    std::vector<size_t> root_worker(n_roots);
+    for (size_t& w : root_worker) w = rng.UniformU64(n_workers);
+    std::vector<std::vector<double>> seconds;
+    std::vector<std::vector<size_t>> root;
+    std::vector<double> window(n_workers, 0.0);
+    size_t fan = 1;
+    for (size_t g = 0; g < 3; ++g, fan *= 2) {
+      seconds.emplace_back();
+      root.emplace_back();
+      for (size_t q = 0; q < n_roots * fan; ++q) {
+        seconds[g].push_back(rng.Uniform(0, 1));
+        root[g].push_back(q / fan);
+        window[root_worker[q / fan]] += seconds[g].back();
+      }
+    }
+    EXPECT_GE(BarrierLevelSeconds(seconds, root, root_worker) + 1e-12,
+              *std::max_element(window.begin(), window.end()))
+        << trial;
+  }
+}
+
 // ---- streaming execution ----------------------------------------------------
 
 struct SyntheticRun {
@@ -261,7 +307,7 @@ SyntheticRun RunSynthetic(const SyntheticOptions& so) {
         [](DataBundle& bundle, StageContext&) -> Status {
           for (size_t i = 0; i < 16; ++i) {
             shard::Example ex;
-            ex.key = "e" + std::to_string(100 + i);
+            ex.key = std::string("e") + std::to_string(100 + i);
             ex.SetLabel(static_cast<int64_t>(i));
             bundle.examples.push_back(std::move(ex));
           }
@@ -503,7 +549,7 @@ TEST(OverlapExecution, ThreeGroupChainStreamsByteIdentically) {
           [](DataBundle& bundle, StageContext&) -> Status {
             for (size_t i = 0; i < 16; ++i) {
               shard::Example ex;
-              ex.key = "e" + std::to_string(i);
+              ex.key = std::string("e") + std::to_string(i);
               ex.SetLabel(static_cast<int64_t>(i));
               bundle.examples.push_back(std::move(ex));
             }

@@ -178,7 +178,7 @@ RunArtifacts RunDeterminismPipeline(size_t threads) {
         [](DataBundle& bundle, StageContext&) -> Status {
           for (size_t i = 0; i < 20; ++i) {
             shard::Example ex;
-            ex.key = "e" + std::to_string(100 + i);
+            ex.key = std::string("e") + std::to_string(100 + i);
             ex.SetLabel(0);
             bundle.examples.push_back(std::move(ex));
           }
@@ -567,7 +567,7 @@ std::string CharFacts(const PipelineReport& report, const Pipeline& p,
            " a=" + std::to_string(m.attempts) +
            " t=" + std::to_string(m.timeouts) + " q=[";
     for (size_t i = 0; i < m.quarantined.size(); ++i) {
-      out += (i > 0 ? "," : "") + std::to_string(m.quarantined[i]);
+      out += std::string(i > 0 ? "," : "") + std::to_string(m.quarantined[i]);
     }
     out += "] ov=" + std::to_string(m.overlapped ? 1 : 0) + "\n";
   }
@@ -596,7 +596,7 @@ LambdaStage::Fn MakeExamples(size_t n) {
   return [n](DataBundle& bundle, StageContext& ctx) -> Status {
     for (size_t i = 0; i < n; ++i) {
       shard::Example ex;
-      ex.key = "e" + std::to_string(100 + i);
+      ex.key = std::string("e") + std::to_string(100 + i);
       ex.SetLabel(static_cast<int64_t>(ctx.rng().UniformU64(1000)));
       bundle.examples.push_back(std::move(ex));
     }

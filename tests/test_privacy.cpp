@@ -271,7 +271,7 @@ TEST(AuditLog, EntryCountBeyondThePayloadIsDataLoss) {
   // log), or over 1024 real entries whose chain ends early.
   for (const size_t real : {size_t{0}, size_t{1024}}) {
     ByteWriter w;
-    w.PutRaw("AUD1", 4);
+    w.PutMagic("AUD1");
     w.PutVarU64(uint64_t{1} << 24);
     for (size_t i = 0; i < real; ++i) {
       w.PutU64(i);

@@ -152,7 +152,7 @@ TEST(ShardWriter, WritesShardsAndManifest) {
   config.target_shard_bytes = 512;  // force several shards
   ShardWriter writer(store, config);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(writer.Add(MakeExample("k" + std::to_string(i),
+    ASSERT_TRUE(writer.Add(MakeExample(std::string("k") + std::to_string(i),
                                        static_cast<float>(i)))
                     .ok());
   }
@@ -210,7 +210,7 @@ TEST(ShardReader, ReadsBackEveryExample) {
   ShardWriter writer(store, config);
   std::set<std::string> keys;
   for (int i = 0; i < 60; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k") + std::to_string(i);
     keys.insert(key);
     writer.Add(MakeExample(key, static_cast<float>(i))).value();
   }
@@ -239,7 +239,9 @@ TEST(ShardReader, CorruptShardSurfacesDataLoss) {
   config.directory = "/ds/corrupt";
   ShardWriter writer(store, config);
   for (int i = 0; i < 20; ++i) {
-    writer.AddTo(Split::kTrain, MakeExample("k" + std::to_string(i), 1.0f))
+    writer
+        .AddTo(Split::kTrain,
+               MakeExample(std::string("k") + std::to_string(i), 1.0f))
         .OrDie();
   }
   const auto manifest = writer.Finalize();
@@ -263,7 +265,7 @@ TEST(ShardReader, RecordCountClaimBeyondTheFileIsDataLoss) {
   config.directory = "/ds/claim";
   ShardWriter writer(store, config);
   for (int i = 0; i < 256; ++i) {
-    Example ex = MakeExample("k" + std::to_string(i), 1.0f);
+    Example ex = MakeExample(std::string("k") + std::to_string(i), 1.0f);
     ex.features["z"] = NDArray::FromVector<float>(
         {64}, std::vector<float>(64, static_cast<float>(i)));
     writer.AddTo(Split::kTrain, ex).OrDie();
@@ -330,7 +332,9 @@ class DataLoaderTest : public ::testing::Test {
     config.test_frac = 0.0;
     ShardWriter writer(store_, config);
     for (int i = 0; i < 50; ++i) {
-      writer.Add(MakeExample("k" + std::to_string(i), static_cast<float>(i)))
+      writer
+          .Add(MakeExample(std::string("k") + std::to_string(i),
+                           static_cast<float>(i)))
           .value();
     }
     writer.Finalize().value();

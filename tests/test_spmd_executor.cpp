@@ -79,7 +79,7 @@ RunArtifacts RunBackendPipeline(Backend backend, size_t workers) {
         [](DataBundle& bundle, StageContext&) -> Status {
           for (size_t i = 0; i < 20; ++i) {
             shard::Example ex;
-            ex.key = "e" + std::to_string(100 + i);
+            ex.key = std::string("e") + std::to_string(100 + i);
             ex.SetLabel(0);
             bundle.examples.push_back(std::move(ex));
           }
@@ -403,7 +403,7 @@ TEST(SpmdExecutor, QuarantineDropsSamePartitionOnEveryRankCount) {
           [](DataBundle& bundle, StageContext&) -> Status {
             for (size_t i = 0; i < 8; ++i) {
               shard::Example ex;
-              ex.key = "e" + std::to_string(i);
+              ex.key = std::string("e") + std::to_string(i);
               bundle.examples.push_back(std::move(ex));
             }
             return Status::Ok();

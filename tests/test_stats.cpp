@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "ndarray/kernels.hpp"
 #include "stats/imbalance.hpp"
 #include "stats/normalizer.hpp"
 #include "stats/quantile.hpp"
@@ -105,6 +108,51 @@ TEST(RunningStats, SerializeRoundTrip) {
   EXPECT_EQ(back->count(), rs.count());
   EXPECT_DOUBLE_EQ(back->mean(), rs.mean());
   EXPECT_DOUBLE_EQ(back->variance(), rs.variance());
+}
+
+Bytes SerializedStats(const RunningStats& rs) {
+  ByteWriter w;
+  rs.Serialize(w);
+  return w.Take();
+}
+
+TEST(RunningStats, AddInterleavedMatchesAddPerValue) {
+  // 1-17 accumulators (past two groups of eight lanes) over streams of
+  // unequal length (some empty), strided or not, with NaN cells, starting
+  // from non-empty states: every accumulator ends bit-identical to Add
+  // over its own stream.
+  Rng rng(5);
+  std::vector<double> pool(4000);
+  for (double& x : pool) {
+    x = rng.Bernoulli(0.05) ? std::numeric_limits<double>::quiet_NaN()
+                            : rng.Normal(20, 7);
+  }
+  for (size_t lanes = 1; lanes <= 17; ++lanes) {
+    std::vector<RunningStats> got(lanes), want(lanes);
+    std::vector<RunningStats*> ptrs;
+    std::vector<ValueStream> streams;
+    for (size_t k = 0; k < lanes; ++k) {
+      const double seed_value = static_cast<double>(k) - 3.5;
+      got[k].Add(seed_value);
+      want[k].Add(seed_value);
+      // Empty lanes (k = 1, 5) and equal lengths (k = 2, 3 and 6, 7).
+      const size_t n = k % 4 == 1 ? 0 : (k / 2 * 37 + lanes * 11) % 300;
+      const size_t stride = 1 + k % 3;
+      streams.push_back({pool.data() + k * 7, n, stride});
+      ptrs.push_back(&got[k]);
+      for (size_t i = 0; i < n; ++i) want[k].Add(pool[k * 7 + i * stride]);
+    }
+    RunningStats::AddInterleaved(ptrs, streams);
+    for (size_t k = 0; k < lanes; ++k) {
+      EXPECT_EQ(SerializedStats(got[k]), SerializedStats(want[k]))
+          << lanes << " lanes, lane " << k;
+    }
+  }
+  RunningStats one;
+  RunningStats* ptrs[] = {&one};
+  const ValueStream streams[2] = {};
+  EXPECT_THROW(RunningStats::AddInterleaved(ptrs, streams),
+               std::invalid_argument);
 }
 
 // ---- quantiles ----------------------------------------------------------------
@@ -339,11 +387,177 @@ TEST(Normalizer, FeatureCountBeyondThePayloadIsDataLoss) {
 
 TEST(Normalizer, LifecycleErrors) {
   Normalizer norm(NormKind::kZScore, 1);
+  NDArray one = NDArray::FromVector<double>({1, 1}, {1.0});
+  const Normalizer::FeatureArray bad_index[] = {{0, &one}, {1, &one}};
+  const Normalizer::FeatureArray good[] = {{0, &one}};
   EXPECT_THROW((void)norm.Apply(0, 1.0), std::logic_error);  // apply before fit
+  EXPECT_THROW(norm.ApplyAll(one), std::logic_error);
+  EXPECT_THROW(norm.ApplyMatrix(one), std::logic_error);
+  EXPECT_THROW(norm.ObserveBatch(bad_index), std::out_of_range);
   norm.Observe(0, 1.0);
   norm.Fit();
   EXPECT_THROW(norm.Observe(0, 2.0), std::logic_error);  // observe after fit
+  EXPECT_THROW(norm.ObserveBatch(good), std::logic_error);
+  EXPECT_THROW(norm.ObserveMatrix(one), std::logic_error);
   EXPECT_THROW((void)norm.Apply(1, 1.0), std::out_of_range);
+  EXPECT_THROW(norm.ApplyAll(one, 1), std::out_of_range);
+}
+
+// ---- batch observe and hoisted apply: bit-exact against per-element ------
+
+constexpr NormKind kAllKinds[] = {NormKind::kZScore, NormKind::kMinMax,
+                                  NormKind::kRobust, NormKind::kLog1pZ};
+
+/// `rows` x `cols` of positive values (log1p-friendly) with ~5% NaN.
+NDArray RandomValues(size_t rows, size_t cols, DType dtype, uint64_t seed) {
+  Rng rng(seed);
+  NDArray a = NDArray::Zeros({rows, cols}, dtype);
+  for (size_t i = 0; i < a.numel(); ++i) {
+    a.SetFromDouble(i, rng.Bernoulli(0.05)
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : std::fabs(rng.Normal(30, 12)));
+  }
+  return a;
+}
+
+/// The normalizer's bytes: its observations (mergeable kinds) and, after
+/// Fit, its fitted statistics, which for kRobust carry the P2 estimates.
+std::vector<Bytes> StateBytes(Normalizer norm) {
+  std::vector<Bytes> out;
+  if (norm.kind() != NormKind::kRobust) {
+    ByteWriter w;
+    EXPECT_TRUE(norm.SerializeObservations(w).ok());
+    out.push_back(w.Take());
+  }
+  norm.Fit();
+  ByteWriter w;
+  norm.Serialize(w);
+  out.push_back(w.Take());
+  return out;
+}
+
+void ObservePerElement(Normalizer& norm, size_t feature, const NDArray& a) {
+  for (size_t i = 0; i < a.numel(); ++i) {
+    norm.Observe(feature, a.GetAsDouble(i));
+  }
+}
+
+/// The elements' bytes in row-major order (views are gathered first).
+std::vector<std::byte> BytesOf(const NDArray& a) {
+  const NDArray dense = a.AsContiguous();
+  const auto b = dense.raw_bytes();
+  return {b.begin(), b.end()};
+}
+
+TEST(Normalizer, ObserveBatchMatchesObservePerElement) {
+  // 2nf + 1 arrays for nf = 1-9 features, array i naming feature 5i mod nf,
+  // so features repeat within a call (at nf = 5 all eleven name feature
+  // 0) and at nf = 9 one round holds more features than a lane group.
+  // Unequal lengths (some empty), f64, f32 and transposed views, NaN
+  // cells.
+  for (const NormKind kind : kAllKinds) {
+    for (size_t nf = 1; nf <= 9; ++nf) {
+      std::vector<NDArray> arrays;
+      std::vector<size_t> features;
+      for (size_t i = 0; i < 2 * nf + 1; ++i) {
+        const size_t f = (i * 5) % nf;
+        const size_t rows = i % 7 == 3 ? 0 : 10 + (i * 13) % 40;
+        const DType dt = i % 3 == 1 ? DType::kF32 : DType::kF64;
+        NDArray a = RandomValues(rows, 3, dt, 100 * nf + i);
+        if (i % 4 == 2) a = a.Transpose();
+        arrays.push_back(std::move(a));
+        features.push_back(f);
+      }
+      Normalizer batch(kind, nf), serial(kind, nf);
+      std::vector<Normalizer::FeatureArray> calls;
+      for (size_t i = 0; i < arrays.size(); ++i) {
+        calls.push_back({features[i], &arrays[i]});
+        ObservePerElement(serial, features[i], arrays[i]);
+      }
+      batch.ObserveBatch(calls);
+      EXPECT_EQ(StateBytes(batch), StateBytes(serial))
+          << NormKindName(kind) << " " << nf << " features";
+    }
+  }
+}
+
+TEST(Normalizer, ObserveMatrixMatchesObservePerElement) {
+  // Strided column streams (1-9 columns, past one lane group) over dense
+  // f64, f32 and a transposed view.
+  for (const NormKind kind : kAllKinds) {
+    for (size_t cols = 1; cols <= 9; ++cols) {
+      const NDArray dense = RandomValues(57, cols, DType::kF64, 200 + cols);
+      const NDArray narrow = RandomValues(31, cols, DType::kF32, 300 + cols);
+      const NDArray view = RandomValues(cols, 23, DType::kF64, 400 + cols)
+                               .Transpose();  // [23, cols]
+      for (const NDArray& m : {dense, narrow, view}) {
+        Normalizer matrix(kind, cols), serial(kind, cols);
+        matrix.ObserveMatrix(m);
+        for (size_t i = 0; i < m.numel(); ++i) {
+          serial.Observe(i % cols, m.GetAsDouble(i));
+        }
+        EXPECT_EQ(StateBytes(matrix), StateBytes(serial))
+            << NormKindName(kind) << " " << cols << " columns";
+      }
+    }
+  }
+}
+
+TEST(Normalizer, HoistedApplyMatchesApplyPerElement) {
+  for (const NormKind kind : kAllKinds) {
+    for (const size_t cols : {size_t{1}, size_t{4}, size_t{9}}) {
+      Normalizer norm(kind, cols);
+      norm.ObserveMatrix(RandomValues(80, cols, DType::kF64, 500 + cols));
+      norm.Fit();
+      for (const DType dt : {DType::kF64, DType::kF32}) {
+        // A dense [40, cols] input and a transposed view of [cols, 40].
+        const NDArray dense = RandomValues(40, cols, dt, 600 + cols);
+        const NDArray storage = RandomValues(cols, 40, dt, 800 + cols);
+        for (const bool view : {false, true}) {
+          const NDArray in = view ? storage.Transpose() : dense;
+          const auto fresh = [&] {
+            return view ? storage.AsContiguous().Transpose()
+                        : dense.AsContiguous();
+          };
+          NDArray want = in.AsContiguous();
+          for (size_t i = 0; i < want.numel(); ++i) {
+            want.SetFromDouble(i, norm.Apply(i % cols, in.GetAsDouble(i)));
+          }
+          NDArray matrix = fresh();
+          norm.ApplyMatrix(matrix);
+          EXPECT_EQ(BytesOf(matrix), BytesOf(want))
+              << NormKindName(kind) << " ApplyMatrix " << cols << " " << view;
+
+          const size_t f = cols - 1;
+          for (size_t i = 0; i < want.numel(); ++i) {
+            want.SetFromDouble(i, norm.Apply(f, in.GetAsDouble(i)));
+          }
+          NDArray all = fresh();
+          norm.ApplyAll(all, f);
+          EXPECT_EQ(BytesOf(all), BytesOf(want))
+              << NormKindName(kind) << " ApplyAll " << cols << " " << view;
+        }
+      }
+    }
+  }
+}
+
+TEST(Normalizer, MeanFillZScoreIsApplyOfTheFilledValue) {
+  // The climate normalize stage's hoisted loop: with center and scale read
+  // once, ((isnan(x) ? c : x) - c) / s is Apply(f, isnan(x) ? c : x).
+  Normalizer norm(NormKind::kZScore, 2);
+  norm.ObserveMatrix(RandomValues(64, 2, DType::kF64, 700));
+  norm.Fit();
+  const NDArray cells = RandomValues(200, 1, DType::kF64, 701);
+  for (size_t f = 0; f < 2; ++f) {
+    const double c = norm.Center(f);
+    const double s = norm.Scale(f);
+    for (size_t i = 0; i < cells.numel(); ++i) {
+      const double x = cells.GetAsDouble(i);
+      EXPECT_EQ(std::bit_cast<uint64_t>(((std::isnan(x) ? c : x) - c) / s),
+                std::bit_cast<uint64_t>(norm.Apply(f, std::isnan(x) ? c : x)));
+    }
+  }
 }
 
 // ---- imbalance -----------------------------------------------------------------
